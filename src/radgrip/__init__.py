@@ -20,8 +20,9 @@ from radgrip.core import (
     load_config,
     default_config,
     validate_config,
+    SolverCfg,
 )
-from radgrip.mhe import Estimator, SlidingWindow, SolverSettings, SolveReport
+from radgrip.mhe import Estimator, SlidingWindow, SolveReport
 
 __all__ = [
     "VehicleConfig",
@@ -42,6 +43,6 @@ __all__ = [
     "validate_config",
     "Estimator",
     "SlidingWindow",
-    "SolverSettings",
+    "SolverCfg",
     "SolveReport",
 ]

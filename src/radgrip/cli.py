@@ -9,9 +9,7 @@ estimation failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -140,7 +138,6 @@ def cmd_estimate(log_path: str, config_path: str | None, out_csv: str,
         with open(out_csv, "w", encoding="utf-8") as fh:
             fh.write(ESTIMATE_CSV_HEADER + "\n")
             for row in est.rows:
-                deg = math.degrees
                 fh.write(",".join(_fmt(v) for v in (
                     row.t, row.vx, row.vy, row.r, row.bx, row.by, row.br,
                     row.alpha_f, row.alpha_r, row.Fyf, row.Fyr,

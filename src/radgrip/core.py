@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -63,18 +63,6 @@ class StaleScanError(EstimatorError):
 
 class StaleEventError(EstimatorError):
     """An event predates the current window and was dropped."""
-
-
-class GateError(EstimatorError):
-    """A speed gate required by a lateral-dynamics computation is not met."""
-
-
-class LoadDomainError(EstimatorError):
-    """A computed vertical load is non-positive (nonphysical state/config)."""
-
-
-class SteeringDomainError(EstimatorError):
-    """Steering angle too close to +-90 deg for the force split."""
 
 
 class TruthDivergenceError(EstimatorError):
@@ -206,9 +194,9 @@ class RadarExtrinsics:
 
 @dataclass(frozen=True)
 class ImuSample:
-    """IMU event.  az/gx/gy are optional 3-axis channels used only for
-    standstill attitude estimation; absent channels default to a level
-    vehicle when consumed."""
+    """IMU event.  az/gx/gy are optional 3-axis channels; only az is
+    consumed (standstill detection and attitude), and an absent az
+    defaults to a level vehicle (az = g)."""
 
     t: float
     ax: float
@@ -385,8 +373,10 @@ _COV_KEYS = ("Sigma_x0", "Sigma_P", "Sigma_w", "Sigma_zv", "Sigma_Fy")
 def load_config(path: str | None) -> VehicleConfig:
     """Load a YAML config file, overlaying the documented defaults.
 
-    Only keys present in the file are overridden; see README for the schema.
-    ``path=None`` returns the defaults.
+    Only keys present in the file are overridden; the accepted keys are
+    those of apply_config_dict, and the defaults and units are those of the
+    VehicleConfig, Thresholds, Covariances, ParamBounds and SolverCfg
+    dataclasses above.  ``path=None`` returns the defaults.
     """
     cfg = VehicleConfig()
     if path is None:

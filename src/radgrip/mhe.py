@@ -7,10 +7,12 @@ the capture instant falls between grid states.  The full problem is solved
 when a scan contributes at least one gated-in factor, after which the
 window shifts and priors are refreshed from the newest estimates.
 
-The solver is a small Levenberg-Marquardt on the window's block structure:
-block-tridiagonal state chain plus one dense tire-parameter column.  Tire
-parameters are kept inside their box by clamping trial steps; Doppler rows
-carry a Cauchy robust loss, everything else is quadratic.
+The solver is a small Levenberg-Marquardt on the dense window problem: it
+builds the full Jacobian (a block-tridiagonal state chain plus one dense
+tire-parameter column, stored dense), the dense normal matrix J^T J and a
+dense Cholesky factor every iteration.  Tire parameters are kept inside
+their box by clamping trial steps; Doppler rows carry a Cauchy robust loss,
+everything else is quadratic.
 """
 
 from __future__ import annotations
@@ -20,21 +22,19 @@ import gc
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from radgrip import motion, tire, zupt
 from radgrip import radar as radar_mod
-from radgrip import tire, zupt
-from radgrip.core import (ImuSample, InputSample, NumericError, RadarScan,
-                          ReferenceVelocity, SolverCfg, StaleEventError,
-                          StaleScanError, SteeringSample, TireParamSet,
-                          VehicleConfig, VehicleState, WindowOrderError,
-                          event_time)
+from radgrip.core import (EstimatorError, ImuSample, InputSample,
+                          NumericError, RadarScan, ReferenceVelocity,
+                          SolverCfg, StaleEventError, StaleScanError,
+                          SteeringSample, TireParamSet, VehicleConfig,
+                          WindowOrderError, event_time)
 from radgrip.motion import predict_array
-
-SolverSettings = SolverCfg
 
 _T_EPS = 1e-9
 
@@ -160,11 +160,31 @@ _CLASSES = ("prior_state", "prior_params", "process", "zupt",
             "lateral_force", "doppler")
 
 
+def _block_index(row0, col0, nrows: int, ncols: int):
+    """Index arrays addressing one dense (nrows, ncols) block of J per
+    entry of row0/col0, each block starting at (row0[i], col0[i])."""
+    return (np.asarray(row0)[:, None, None] + np.arange(nrows)[:, None],
+            np.asarray(col0)[:, None, None] + np.arange(ncols))
+
+
+def cauchy_loss(rd: np.ndarray, c: float) -> float:
+    """Summed Cauchy loss rho(s) = c^2 log(1 + s / c^2), s = rd^2."""
+    c2 = c * c
+    return float(c2 * np.sum(np.log1p(rd * rd / c2)))
+
+
+def cauchy_weights(rd: np.ndarray, c: float) -> np.ndarray:
+    """IRLS row scalings sqrt(rho'(s)) of the Cauchy loss."""
+    return 1.0 / np.sqrt(1.0 + rd * rd / (c * c))
+
+
 class WindowProblem:
     """Residuals and analytic Jacobian of one window solve.
 
     Variables are z = [x_0 ... x_{K-1}, P] with x_k the 6 state components
-    and P the 12 tire parameters (front then rear axle).
+    and P the 12 tire parameters (front then rear axle).  Each factor class
+    is defined, with its partials, in its domain module; this class fixes
+    the rows and weights per solve and scatters those values into r and J.
     """
 
     def __init__(self, window: SlidingWindow, P_init: np.ndarray,
@@ -196,42 +216,25 @@ class WindowProblem:
 
         self.zv_idx = np.array([k for k, s in enumerate(states)
                                 if s.zv is not None], dtype=int)
-        self.zv_target = np.array(
-            [[0.0, 0.0, 0.0, s.zv[0], s.zv[1], s.zv[2]]
-             for s in states if s.zv is not None]).reshape(-1, 6)
+        self.zv = np.array([s.zv for s in states
+                            if s.zv is not None]).reshape(-1, 3)
 
         # lateral-force rows: gate on the entry estimates, fixed per solve
-        fy_idx = []
-        for k, s in enumerate(states):
-            xs = VehicleState.from_array(s.t, s.x)
-            if (tire.passes_force_gate(xs, cfg)
-                    and math.cos(s.u.delta) > 0.2):
-                fy_idx.append(k)
-        self.fy_idx = np.array(fy_idx, dtype=int)
-        if len(fy_idx):
-            wb = cfg.lf + cfg.lr
-            d = self.u_delta[self.fy_idx]
-            ay = self.u_ay[self.fy_idx]
-            self.fy_meas = np.stack([
-                (cfg.lr / wb) * cfg.m * ay / np.cos(d),
-                (cfg.lf / wb) * cfg.m * ay,
-            ], axis=1)
-        else:
-            self.fy_meas = np.zeros((0, 2))
+        self.fy_idx = np.flatnonzero(tire.force_gate(
+            self.X_init[:, 0], self.X_init[:, 1], self.u_delta, cfg))
+        self.fy_ax = self.u_ax[self.fy_idx]
+        self.fy_delta = self.u_delta[self.fy_idx]
+        self.fy_meas = np.stack(tire.measured_lateral_forces(
+            self.u_ay[self.fy_idx], self.fy_delta, cfg), axis=1)
 
         facs = window.doppler
-        if facs:
-            ft = np.array([f.state_timestamp for f in facs])
-            self.dop_idx = np.searchsorted(self.t, ft - _T_EPS)
-            self.dop_cx = np.array([f.cx for f in facs])
-            self.dop_cy = np.array([f.cy for f in facs])
-            self.dop_lever = np.array([f.lever for f in facs])
-            self.dop_vr = np.array([f.v_r for f in facs])
-            self.dop_w = 1.0 / np.array([f.sigma for f in facs])
-        else:
-            self.dop_idx = np.zeros(0, dtype=int)
-            self.dop_cx = self.dop_cy = self.dop_lever = np.zeros(0)
-            self.dop_vr = self.dop_w = np.zeros(0)
+        self.dop_idx = np.searchsorted(
+            self.t, np.array([f.state_timestamp for f in facs]) - _T_EPS)
+        self.dop_cx = np.array([f.cx for f in facs])
+        self.dop_cy = np.array([f.cy for f in facs])
+        self.dop_lever = np.array([f.lever for f in facs])
+        self.dop_vr = np.array([f.v_r for f in facs])
+        self.dop_w = 1.0 / np.array([f.sigma for f in facs])
 
         self.cauchy = cfg.solver.cauchy_scale
         n_zv, n_fy, n_dop = len(self.zv_idx), len(self.fy_idx), len(facs)
@@ -253,22 +256,16 @@ class WindowProblem:
         # reused buffers; every written Jacobian slot is overwritten per call
         self._r_buf = np.zeros(self.nrows)
         self._J_buf = np.zeros((self.nrows, self.nvar))
-        self._pred_buf = np.empty((K - 1, 6))
+        row = {name: self.slices[name].start for name in _CLASSES}
         ks = np.arange(K - 1)
-        self._proc_row = self.slices["process"].start + 6 * ks
-        self._proc_col = 6 * ks
-        if len(self.zv_idx):
-            self._zv_row = self.slices["zupt"].start \
-                + 6 * np.arange(len(self.zv_idx))
-            self._zv_col = 6 * self.zv_idx
-        if len(self.fy_idx):
-            self._fy_row = self.slices["lateral_force"].start \
-                + 2 * np.arange(len(self.fy_idx))
-            self._fy_col = 6 * self.fy_idx
-        if len(self.dop_idx):
-            self._dop_row = self.slices["doppler"].start \
-                + np.arange(len(self.dop_idx))
-            self._dop_col = 6 * self.dop_idx
+        self._proc_ix = _block_index(row["process"] + 6 * ks, 6 * ks, 6, 12)
+        self._zv_ix = _block_index(row["zupt"] + 6 * np.arange(n_zv),
+                                   6 * self.zv_idx, 6, 6)
+        fy_row = row["lateral_force"] + 2 * np.arange(n_fy)
+        self._fy_ix = _block_index(fy_row, 6 * self.fy_idx, 2, 3)
+        self._fy_p_ix = _block_index(fy_row, np.full(n_fy, 6 * K), 2, 12)
+        self._dop_ix = _block_index(row["doppler"] + np.arange(n_dop),
+                                    6 * self.dop_idx, 1, 3)
 
     def z_init(self) -> np.ndarray:
         return np.concatenate([self.X_init.ravel(), self.P_init])
@@ -280,49 +277,24 @@ class WindowProblem:
     def _split(self, z: np.ndarray):
         return z[:6 * self.K].reshape(self.K, 6), z[6 * self.K:]
 
-    def _axle_geometry(self, X: np.ndarray):
-        """Slip angles and vertical loads at the lateral-force states."""
-        cfg = self.cfg
-        idx = self.fy_idx
-        vx, vy, r = X[idx, 0], X[idx, 1], X[idx, 2]
-        d = self.u_delta[idx]
-        af, ar = tire.slip_angles_raw(vx, vy, r, d, cfg.lf, cfg.lr)
-        Fzf, Fzr = tire.vertical_loads_raw(vx, self.u_ax[idx], cfg)
-        return vx, vy, r, d, af, ar, Fzf, Fzr
-
     def residuals(self, z: np.ndarray) -> np.ndarray:
         X, P = self._split(z)
         r = self._r_buf
-        r[self.slices["prior_state"]] = self.w_x0 * (X[0] - self.prior_x)
-        r[self.slices["prior_params"]] = self.w_P * (P - self.prior_P)
-
-        Xp = X[:-1]
-        pred = self._pred_buf
-        pred[:, 0] = Xp[:, 0] + ((self.u_ax[:-1] - Xp[:, 3])
-                                 + Xp[:, 2] * Xp[:, 1]) * self.dt
-        pred[:, 1] = Xp[:, 1] + ((self.u_ay[:-1] - Xp[:, 4])
-                                 - Xp[:, 2] * Xp[:, 0]) * self.dt
-        pred[:, 2] = self.u_r[:-1] - Xp[:, 5]
-        pred[:, 3:6] = Xp[:, 3:6]
-        r[self.slices["process"]] = ((X[1:] - pred) * self.w_proc).ravel()
-
+        sl = self.slices
+        r[sl["prior_state"]] = self.w_x0 * (X[0] - self.prior_x)
+        r[sl["prior_params"]] = self.w_P * (P - self.prior_P)
+        r[sl["process"]] = motion.process_residual(
+            X, self.u_ax, self.u_ay, self.u_r, self.dt, self.w_proc).ravel()
         if len(self.zv_idx):
-            rz = (X[self.zv_idx] - self.zv_target) * self.w_zv
-            r[self.slices["zupt"]] = rz.ravel()
-
+            r[sl["zupt"]] = zupt.zv_residual(
+                X[self.zv_idx], self.zv, self.w_zv).ravel()
         if len(self.fy_idx):
-            _, _, _, d, af, ar, Fzf, Fzr = self._axle_geometry(X)
-            Yf = tire.magic_formula_values(tire.force_slip(af), P[:6])
-            Yr = tire.magic_formula_values(tire.force_slip(ar), P[6:])
-            res = (self.fy_meas
-                   - np.stack([Fzf * Yf, Fzr * Yr], axis=1)) * self.w_fy
-            r[self.slices["lateral_force"]] = res.ravel()
-
-        if len(self.dop_idx):
-            di = self.dop_idx
-            v_e = -(self.dop_cx * X[di, 0] + self.dop_cy * X[di, 1]
-                    + self.dop_lever * X[di, 2])
-            r[self.slices["doppler"]] = (self.dop_vr - v_e) * self.dop_w
+            r[sl["lateral_force"]] = tire.lateral_force_residual(
+                X[self.fy_idx], self.fy_ax, self.fy_delta, self.fy_meas, P,
+                self.w_fy, self.cfg).ravel()
+        r[sl["doppler"]] = radar_mod.doppler_residual(
+            X[self.dop_idx], self.dop_vr, self.dop_cx, self.dop_cy,
+            self.dop_lever, self.dop_w)
         return r
 
     def check_finite(self, r: np.ndarray) -> None:
@@ -335,103 +307,31 @@ class WindowProblem:
     def cost(self, r: np.ndarray) -> float:
         dop = self.slices["doppler"]
         quad = float(r[:dop.start] @ r[:dop.start])
-        rd = r[dop]
-        c2 = self.cauchy * self.cauchy
-        return quad + float(c2 * np.sum(np.log1p(rd * rd / c2)))
+        return quad + cauchy_loss(r[dop], self.cauchy)
 
     def cost_breakdown(self, r: np.ndarray) -> dict:
         out = {}
-        c2 = self.cauchy * self.cauchy
         for name in _CLASSES:
             rs = r[self.slices[name]]
-            if name == "doppler":
-                out[name] = float(c2 * np.sum(np.log1p(rs * rs / c2)))
-            else:
-                out[name] = float(rs @ rs)
+            out[name] = (cauchy_loss(rs, self.cauchy) if name == "doppler"
+                         else float(rs @ rs))
         return out
-
-    def robust_weights(self, r: np.ndarray) -> np.ndarray:
-        """Row scalings sqrt(rho'(s)) for the IRLS normal equations."""
-        w = np.ones(self.nrows)
-        dop = self.slices["doppler"]
-        rd = r[dop]
-        c2 = self.cauchy * self.cauchy
-        w[dop] = 1.0 / np.sqrt(1.0 + rd * rd / c2)
-        return w
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         X, P = self._split(z)
-        K = self.K
         J = self._J_buf
-        pcol = 6 * K
-
-        sl = self.slices["prior_state"]
-        J[sl, 0:6][np.arange(6), np.arange(6)] = self.w_x0
-        sl = self.slices["prior_params"]
-        J[sl, pcol:pcol + 12][np.arange(12), np.arange(12)] = self.w_P
-
-        w = self.w_proc
-        dt = self.dt
-        vx, vy, rr = X[:-1, 0], X[:-1, 1], X[:-1, 2]
-        col = self._proc_col
-        row = self._proc_row
-        # d residual / d x_k  (minus the transition Jacobian, whitened)
-        J[row, col] = -w[:, 0]
-        J[row, col + 1] = -w[:, 0] * rr * dt
-        J[row, col + 2] = -w[:, 0] * vy * dt
-        J[row, col + 3] = w[:, 0] * dt
-        J[row + 1, col] = w[:, 1] * rr * dt
-        J[row + 1, col + 1] = -w[:, 1]
-        J[row + 1, col + 2] = w[:, 1] * vx * dt
-        J[row + 1, col + 4] = w[:, 1] * dt
-        J[row + 2, col + 5] = w[:, 2]
-        J[row + 3, col + 3] = -w[:, 3]
-        J[row + 4, col + 4] = -w[:, 4]
-        J[row + 5, col + 5] = -w[:, 5]
-        # d residual / d x_{k+1}
-        for i in range(6):
-            J[row + i, col + 6 + i] = w[:, i]
-
+        sl = self.slices
+        J[sl["prior_state"], :6] = np.diag(self.w_x0)
+        J[sl["prior_params"], 6 * self.K:] = np.diag(self.w_P)
+        J[self._proc_ix] = motion.process_jacobian(X, self.dt, self.w_proc)
         if len(self.zv_idx):
-            zrow, zcol = self._zv_row, self._zv_col
-            for i in range(6):
-                J[zrow + i, zcol + i] = self.w_zv[i]
-
+            J[self._zv_ix] = zupt.zv_jacobian(len(self.zv_idx), self.w_zv)
         if len(self.fy_idx):
-            cfg = self.cfg
-            vx, vy, r_, d, af, ar, Fzf, Fzr = self._axle_geometry(X)
-            Yf, dYf_ds, dYf_dp = tire.magic_formula_derivs(
-                tire.force_slip(af), P[:6])
-            Yr, dYr_ds, dYr_dp = tire.magic_formula_derivs(
-                tire.force_slip(ar), P[6:])
-            qf = (vy + r_ * cfg.lf) / vx
-            qr = (vy - r_ * cfg.lr) / vx
-            gf = 1.0 / (1.0 + qf * qf)
-            gr = 1.0 / (1.0 + qr * qr)
-            # chain rule through force_slip: d(-alpha)/d(state)
-            daf_dvx, daf_dvy, daf_dr = gf * qf / vx, -gf / vx, -gf * cfg.lf / vx
-            dar_dvx, dar_dvy, dar_dr = gr * qr / vx, -gr / vx, gr * cfg.lr / vx
-            dFz_dvx_f = cfg.Czf * cfg.rho * cfg.A * vx
-            dFz_dvx_r = cfg.Czr * cfg.rho * cfg.A * vx
-            frow, scol = self._fy_row, self._fy_col
-            wf, wr = self.w_fy[0], self.w_fy[1]
-            J[frow, scol] = -wf * (dFz_dvx_f * Yf + Fzf * dYf_ds * daf_dvx)
-            J[frow, scol + 1] = -wf * Fzf * dYf_ds * daf_dvy
-            J[frow, scol + 2] = -wf * Fzf * dYf_ds * daf_dr
-            J[frow + 1, scol] = -wr * (dFz_dvx_r * Yr + Fzr * dYr_ds * dar_dvx)
-            J[frow + 1, scol + 1] = -wr * Fzr * dYr_ds * dar_dvy
-            J[frow + 1, scol + 2] = -wr * Fzr * dYr_ds * dar_dr
-            pidx = np.arange(6)
-            J[frow[:, None], pcol + pidx[None, :]] = \
-                -wf * Fzf[:, None] * dYf_dp
-            J[frow[:, None] + 1, pcol + 6 + pidx[None, :]] = \
-                -wr * Fzr[:, None] * dYr_dp
-
-        if len(self.dop_idx):
-            drow, dcol = self._dop_row, self._dop_col
-            J[drow, dcol] = self.dop_w * self.dop_cx
-            J[drow, dcol + 1] = self.dop_w * self.dop_cy
-            J[drow, dcol + 2] = self.dop_w * self.dop_lever
+            J[self._fy_ix], J[self._fy_p_ix] = tire.lateral_force_jacobian(
+                X[self.fy_idx], self.fy_ax, self.fy_delta, P, self.w_fy,
+                self.cfg)
+        J[self._dop_ix] = radar_mod.doppler_jacobian(
+            self.dop_cx, self.dop_cy, self.dop_lever, self.dop_w)[:, None, :]
         return J
 
 
@@ -453,7 +353,7 @@ class SolveReport:
     n_doppler: int = 0
 
 
-def solve_problem(problem: WindowProblem, settings: SolverSettings,
+def solve_problem(problem: WindowProblem, settings: SolverCfg,
                   lam: float | None = None
                   ) -> tuple[np.ndarray, SolveReport, float]:
     """Levenberg-Marquardt with clamped parameter box.
@@ -486,8 +386,7 @@ def solve_problem(problem: WindowProblem, settings: SolverSettings,
         # robust reweighting applied in place to the Doppler rows only
         J = problem.jacobian(z)
         rw = r.copy()
-        rd = r[dop]
-        wd = 1.0 / np.sqrt(1.0 + rd * rd / (problem.cauchy ** 2))
+        wd = cauchy_weights(r[dop], problem.cauchy)
         J[dop] *= wd[:, None]
         rw[dop] *= wd
         g = J.T @ rw
@@ -539,7 +438,7 @@ def solve_problem(problem: WindowProblem, settings: SolverSettings,
 
 
 def solve(window: SlidingWindow, P_current: np.ndarray | TireParamSet,
-          settings: SolverSettings, cfg: VehicleConfig,
+          settings: SolverCfg, cfg: VehicleConfig,
           lam: float | None = None
           ) -> tuple[list[WindowState], np.ndarray, SolveReport]:
     """Solve the window in place; states and returned P are the refined
@@ -577,13 +476,13 @@ class OutputRow:
     BCD_f: float
     BCD_r: float
     beta: float | None
-    ay_derived: float | None
 
 
 def estimate_outputs(window: SlidingWindow, P: np.ndarray | TireParamSet,
                      cfg: VehicleConfig, index: int = -1) -> OutputRow:
     """Output row for one window state (newest by default).  Slip, force
-    and side-slip fields are None below the speed gate."""
+    and side-slip fields are None outside the lateral-force gate and at a
+    nonphysical (non-positive) vertical load."""
     if isinstance(P, TireParamSet):
         P = P.as_array()
     ws = window.states[index]
@@ -592,25 +491,20 @@ def estimate_outputs(window: SlidingWindow, P: np.ndarray | TireParamSet,
 
 def _output_row(ws: WindowState, P: np.ndarray, cfg: VehicleConfig
                 ) -> OutputRow:
-    x = VehicleState.from_array(ws.t, ws.x)
+    x, u = ws.x, ws.u
     pset = TireParamSet.from_array(P)
-    bcd_f = tire.cornering_stiffness(pset.front)
-    bcd_r = tire.cornering_stiffness(pset.rear)
-    alpha_f = alpha_r = fyf = fyr = beta = ay_d = None
-    if tire.passes_force_gate(x, cfg) and math.cos(ws.u.delta) > 0.2:
-        try:
-            alpha_f, alpha_r = tire.slip_angles(x, ws.u.delta, cfg)
-            fzf, fzr = tire.vertical_loads(x, ws.u, cfg)
-            fyf = fzf * tire.magic_formula(tire.force_slip(alpha_f),
-                                           pset.front)
-            fyr = fzr * tire.magic_formula(tire.force_slip(alpha_r),
-                                           pset.rear)
-            beta = math.atan(x.vy / x.vx)
-            ay_d = (fyf * math.cos(ws.u.delta) + fyr) / cfg.m
-        except Exception:
-            alpha_f = alpha_r = fyf = fyr = beta = ay_d = None
-    return OutputRow(ws.t, x.vx, x.vy, x.r, x.bx, x.by, x.br,
-                     alpha_f, alpha_r, fyf, fyr, bcd_f, bcd_r, beta, ay_d)
+    alpha_f = alpha_r = fyf = fyr = beta = None
+    if (tire.force_gate(x[0], x[1], u.delta, cfg)
+            and min(tire.vertical_loads(x[0], u.ax_meas, cfg)) > 0.0):
+        alpha_f, alpha_r = (float(a) for a in tire.slip_angles(
+            x[0], x[1], x[2], u.delta, cfg))
+        fyf, fyr = (float(f) for f in tire.model_lateral_forces(
+            x, u.ax_meas, u.delta, P, cfg))
+        beta = math.atan(x[1] / x[0])
+    return OutputRow(ws.t, *(float(v) for v in x),
+                     alpha_f, alpha_r, fyf, fyr,
+                     tire.cornering_stiffness(pset.front),
+                     tire.cornering_stiffness(pset.rear), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +521,7 @@ class Estimator:
     """
 
     def __init__(self, cfg: VehicleConfig,
-                 settings: SolverSettings | None = None,
+                 settings: SolverCfg | None = None,
                  p_init: TireParamSet | None = None):
         self.cfg = cfg
         self.settings = settings or cfg.solver
@@ -637,7 +531,6 @@ class Estimator:
         self.P = np.clip(P0, cfg.bounds.full_min(), cfg.bounds.full_max())
         self.rows: list[OutputRow] = []
         self.reports: list[SolveReport] = []
-        self.param_history: list[tuple[float, np.ndarray]] = []
         self.counters = {
             "imu": 0, "steering": 0, "ref_vel": 0, "scans": 0,
             "stale_scans": 0, "stale_events": 0, "doppler_accepted": 0,
@@ -649,13 +542,11 @@ class Estimator:
         self._latest_delta = 0.0
         self._standstill = zupt.INITIAL_STANDSTILL
         self.attitude: zupt.AttitudeEstimate | None = None
-        self.attitude_measured: zupt.AttitudeEstimate | None = None
         self._speed_proxy: float | None = None
         self._have_fix = False
         self._next_grid_t: float | None = None
         self._last_solve_t: float | None = None
         self._lam = self.settings.lm_lambda_init
-        self._warned_tilt = False
 
     # -- input bookkeeping ------------------------------------------------
 
@@ -714,17 +605,13 @@ class Estimator:
     def _enter_standstill(self, t: float) -> None:
         horizon = self.cfg.thresholds.T_stop + 1e-6
         samples = [s for s in self._imu_buffer if s.t >= t - horizon]
+        # estimated under the level assumption too: a window too short for
+        # an attitude leaves this standstill without ZUPT targets
         try:
             att = zupt.estimate_attitude(samples, self.cfg)
-        except Exception:
+        except EstimatorError:
             self.attitude = None
             return
-        self.attitude_measured = att
-        tilt = math.asin(min(1.0, math.hypot(att.gravity_body[0],
-                                             att.gravity_body[1])
-                             / self.cfg.g))
-        if tilt > math.radians(3.0) and not self._warned_tilt:
-            self._warned_tilt = True
         if self.cfg.assume_level_standstill:
             self.attitude = zupt.level_attitude(self.cfg.g)
         else:
@@ -811,7 +698,6 @@ class Estimator:
         self.counters["solves"] += 1
         if trigger == "watchdog":
             self.counters["watchdog_solves"] += 1
-        self.param_history.append((t, P_new.copy()))
         for ws in self.window.shift(P_new):
             if ws.grid:
                 self.rows.append(_output_row(ws, self.P, self.cfg))
@@ -831,7 +717,7 @@ class Estimator:
 
 
 def replay_events(events, cfg: VehicleConfig,
-                  settings: SolverSettings | None = None,
+                  settings: SolverCfg | None = None,
                   p_init: TireParamSet | None = None) -> Estimator:
     """Run the estimator over an iterable of events in arrival order.
 

@@ -3,20 +3,18 @@
 Velocities integrate measured accelerations (bias-corrected, with Coriolis
 coupling) by forward Euler; the yaw rate is taken algebraically from the
 previous gyro sample minus its bias; biases are random walks.
+
+States are rows [vx, vy, r, bx, by, br]; predict_array and
+transition_jacobian take one row or a stack of rows (K, 6), with inputs
+and dt broadcast per row.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from radgrip.core import (InputSample, NumericError, VehicleState,
-                          WindowOrderError)
 
-
-def state_transition(x_prev: VehicleState, u_prev: InputSample,
-                     dt: float) -> VehicleState:
+def predict_array(X, u_ax, u_ay, u_r, dt) -> np.ndarray:
     """One forward-Euler step of the motion model.
 
     vx' = vx + ((ax - bx) + r*vy) * dt
@@ -24,60 +22,46 @@ def state_transition(x_prev: VehicleState, u_prev: InputSample,
     r'  = r_meas - br          (algebraic, previous gyro sample)
     biases carried unchanged.
     """
-    if not (dt > 0.0):
-        raise WindowOrderError(f"dt must be positive, got {dt}")
-    vals = (x_prev.vx, x_prev.vy, x_prev.r, x_prev.bx, x_prev.by, x_prev.br,
-            u_prev.ax_meas, u_prev.ay_meas, u_prev.r_meas)
-    if not all(math.isfinite(v) for v in vals):
-        raise NumericError("non-finite state or input in state_transition")
-    vx = x_prev.vx + ((u_prev.ax_meas - x_prev.bx)
-                      + x_prev.r * x_prev.vy) * dt
-    vy = x_prev.vy + ((u_prev.ay_meas - x_prev.by)
-                      - x_prev.r * x_prev.vx) * dt
-    r = u_prev.r_meas - x_prev.br
-    return VehicleState(x_prev.t + dt, vx, vy, r,
-                        x_prev.bx, x_prev.by, x_prev.br)
+    vx, vy, r, bx, by, br = np.asarray(X, dtype=float).T
+    out = np.array(X, dtype=float)
+    out.T[0] = vx + ((u_ax - bx) + r * vy) * dt
+    out.T[1] = vy + ((u_ay - by) - r * vx) * dt
+    out.T[2] = u_r - br
+    return out
 
 
-def predict_array(x_prev: np.ndarray, u_ax: float, u_ay: float, u_r: float,
-                  dt: float) -> np.ndarray:
-    """Array form of state_transition on [vx,vy,r,bx,by,br] (no checks)."""
-    vx, vy, r, bx, by, br = x_prev
-    return np.array([
-        vx + ((u_ax - bx) + r * vy) * dt,
-        vy + ((u_ay - by) - r * vx) * dt,
-        u_r - br,
-        bx, by, br,
-    ])
+def process_residual(X, u_ax, u_ay, u_r, dt, w) -> np.ndarray:
+    """Whitened residuals X[k+1] - f(X[k], u[k]) of a state chain X (K, 6).
 
-
-def process_residual(x_next: VehicleState, x_prev: VehicleState,
-                     u_prev: InputSample, dt: float,
-                     sigma_w: np.ndarray, dt_nominal: float = 0.010
-                     ) -> np.ndarray:
-    """Whitened 6-vector residual x_next - f(x_prev, u_prev).
-
-    sigma_w is the per-component process variance at dt_nominal; the
-    variance used here scales linearly with dt.
+    Inputs and dt have K-1 entries (u_* may have K; the last is unused);
+    w (K-1, 6) is one over the process standard deviation of each step.
     """
-    if not (dt > 0.0):
-        raise WindowOrderError(f"dt must be positive, got {dt}")
-    pred = state_transition(x_prev, u_prev, dt)
-    raw = x_next.as_array() - pred.as_array()
-    var = np.asarray(sigma_w, dtype=float) * (dt / dt_nominal)
-    return raw / np.sqrt(var)
+    n = len(X) - 1
+    pred = predict_array(X[:-1], u_ax[:n], u_ay[:n], u_r[:n], dt)
+    return (X[1:] - pred) * w
 
 
-def transition_jacobian(x_prev: np.ndarray, dt: float) -> np.ndarray:
-    """d f / d x_prev for one Euler step (6x6)."""
-    vx, vy, r = x_prev[0], x_prev[1], x_prev[2]
-    F = np.eye(6)
-    F[0, 1] = r * dt
-    F[0, 2] = vy * dt
-    F[0, 3] = -dt
-    F[1, 0] = -r * dt
-    F[1, 2] = -vx * dt
-    F[1, 4] = -dt
-    F[2, 2] = 0.0
-    F[2, 5] = -1.0
+def transition_jacobian(X, dt) -> np.ndarray:
+    """d f / d x for one Euler step per row, shape X.shape[:-1] + (6, 6)."""
+    X = np.asarray(X, dtype=float)
+    vx, vy, r = X[..., 0], X[..., 1], X[..., 2]
+    F = np.zeros(X.shape + (6,)) + np.eye(6)
+    F[..., 0, 1] = r * dt
+    F[..., 0, 2] = vy * dt
+    F[..., 0, 3] = -dt
+    F[..., 1, 0] = -r * dt
+    F[..., 1, 2] = -vx * dt
+    F[..., 1, 4] = -dt
+    F[..., 2, 2] = 0.0
+    F[..., 2, 5] = -1.0
     return F
+
+
+def process_jacobian(X, dt, w) -> np.ndarray:
+    """Partials of process_residual: one (6, 12) block per step k over
+    [x_k, x_{k+1}], shape (K-1, 6, 12)."""
+    n = len(X) - 1
+    blocks = np.empty((n, 6, 12))
+    blocks[:, :, :6] = -w[:, :, None] * transition_jacobian(X[:-1], dt)
+    blocks[:, :, 6:] = w[:, :, None] * np.eye(6)
+    return blocks

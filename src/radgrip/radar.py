@@ -1,7 +1,8 @@
 """Radar Doppler processing: bearing geometry, expected Doppler from the
 vehicle state, de-aliasing against the Nyquist band, SNR and innovation
-gating, and conversion of scans into robust scalar residual factors bound
-to time-matched window states.
+gating, conversion of scans into robust scalar residual factors bound
+to time-matched window states, and the whitened Doppler residual with its
+partials.
 
 The sign convention is v_d = -b . v_R: points ahead of a forward-moving
 radar measure negative Doppler.
@@ -9,14 +10,12 @@ radar measure negative Doppler.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from radgrip.core import (AliasDomainError, RadarExtrinsics, RadarPoint,
-                          RadarScan, SchemaError, StaleScanError,
-                          VehicleConfig, VehicleState)
+from radgrip.core import (AliasDomainError, RadarExtrinsics, RadarScan,
+                          SchemaError, StaleScanError, VehicleConfig)
 
 REJECT_LOW_SNR = "LowSNR"
 REJECT_INNOVATION = "Innovation"
@@ -26,13 +25,11 @@ REJECT_INNOVATION = "Innovation"
 class DopplerFactor:
     """One de-aliased Doppler observation bound to a window state.
 
-    bearing is the unit vector in the radar frame; cx, cy, lever are the
-    cached body-frame projection terms used by the solver:
-    v_e = -(cx*vx + cy*vy + lever*r).
+    cx, cy, lever are the body-frame projection terms of its bearing used
+    by the solver: v_e = -(cx*vx + cy*vy + lever*r).
     """
 
     state_timestamp: float
-    bearing: np.ndarray
     v_r: float
     sigma: float
     radar_id: int
@@ -42,29 +39,12 @@ class DopplerFactor:
     lever: float
 
 
-def bearing_vector(azimuth: float, elevation: float) -> np.ndarray:
-    """Unit bearing vector (cos e cos a, cos e sin a, sin e)."""
-    ce = math.cos(elevation)
-    return np.array([ce * math.cos(azimuth), ce * math.sin(azimuth),
-                     math.sin(elevation)])
-
-
-def bearing_vectors(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
-    """Vectorized bearing_vector, shape (N, 3)."""
+def bearing_vectors(azimuth, elevation) -> np.ndarray:
+    """Unit bearing vectors (cos e cos a, cos e sin a, sin e), shape
+    (..., 3)."""
     ce = np.cos(elevation)
     return np.stack([ce * np.cos(azimuth), ce * np.sin(azimuth),
                      np.sin(elevation)], axis=-1)
-
-
-def expected_doppler(x: VehicleState, ext: RadarExtrinsics,
-                     azimuth: float, elevation: float) -> float:
-    """Doppler a static point at this bearing would measure, given the
-    planar state (z velocity and roll/pitch rates ignored)."""
-    b = bearing_vector(azimuth, elevation)
-    c = ext.rotation @ b  # bearing in body frame
-    tx, ty = ext.translation[0], ext.translation[1]
-    lever = c[1] * tx - c[0] * ty
-    return -(c[0] * x.vx + c[1] * x.vy + lever * x.r)
 
 
 def body_projection(ext: RadarExtrinsics, bearings: np.ndarray):
@@ -76,33 +56,47 @@ def body_projection(ext: RadarExtrinsics, bearings: np.ndarray):
     return c[:, 0], c[:, 1], lever
 
 
-def expected_doppler_many(vx: float, vy: float, r: float,
-                          cx: np.ndarray, cy: np.ndarray,
-                          lever: np.ndarray) -> np.ndarray:
-    return -(cx * vx + cy * vy + lever * r)
+def expected_doppler(X, cx, cy, lever):
+    """Doppler static points would measure from state rows X (..., 6),
+    given their projection terms (z velocity and roll/pitch rates
+    ignored)."""
+    return -(cx * X[..., 0] + cy * X[..., 1] + lever * X[..., 2])
 
 
-def dealias(v_d: float, v_e: float, V_N: float) -> tuple[float, int]:
-    """Recover the true Doppler from the wrapped measurement using the
-    predicted value: n = nint((v_e - v_d) / (2 V_N)), v_r = v_d + 2 n V_N.
+def dealias(v_d, v_e, V_N: float):
+    """Recover the true Doppler from wrapped measurements using the
+    predicted values: n = nint((v_e - v_d) / (2 V_N)), v_r = v_d + 2 n V_N.
 
-    nint ties (exact .5) resolve half-to-even.  Raises AliasDomainError if
-    the measurement itself violates |v_d| <= V_N.
+    nint ties (exact .5) resolve half-to-even.  Returns (v_r, n); raises
+    AliasDomainError if a measurement violates |v_d| <= V_N.
     """
-    if abs(v_d) > V_N * (1.0 + 1e-12):
-        raise AliasDomainError(f"|v_d|={abs(v_d):.3f} exceeds V_N={V_N}")
-    n = int(np.rint((v_e - v_d) / (2.0 * V_N)))
+    v_d = np.asarray(v_d, dtype=float)
+    if np.any(np.abs(v_d) > V_N * (1.0 + 1e-12)):
+        worst = float(np.abs(v_d).max())
+        raise AliasDomainError(f"|v_d|={worst:.3f} exceeds V_N={V_N}")
+    n = np.rint((v_e - v_d) / (2.0 * V_N)).astype(int)
     return v_d + 2.0 * n * V_N, n
 
 
-def gate_point(p: RadarPoint, v_e: float, v_r: float,
-               cfg: VehicleConfig) -> str | None:
-    """None if the point is accepted, else the rejection reason."""
-    if p.snr < cfg.thresholds.snr_min:
-        return REJECT_LOW_SNR
-    if abs(v_r - v_e) > cfg.thresholds.dV_r_max:
-        return REJECT_INNOVATION
-    return None
+def gate_points(snr, v_e, v_r, cfg: VehicleConfig) -> np.ndarray:
+    """Rejection reason per point (REJECT_LOW_SNR before
+    REJECT_INNOVATION), None where the point is accepted."""
+    th = cfg.thresholds
+    reason = np.full(np.shape(snr), None, dtype=object)
+    reason[np.abs(np.asarray(v_r) - v_e) > th.dV_r_max] = REJECT_INNOVATION
+    reason[np.asarray(snr) < th.snr_min] = REJECT_LOW_SNR
+    return reason
+
+
+def doppler_residual(X, v_r, cx, cy, lever, w) -> np.ndarray:
+    """Whitened Doppler residuals (v_r - v_e) * w at state rows X; the
+    solver applies the Cauchy robust loss on top of these values."""
+    return (v_r - expected_doppler(X, cx, cy, lever)) * w
+
+
+def doppler_jacobian(cx, cy, lever, w) -> np.ndarray:
+    """Partials of doppler_residual w.r.t. [vx, vy, r], shape (N, 3)."""
+    return np.stack([w * cx, w * cy, w * lever], axis=-1)
 
 
 def scan_to_factors(scan: RadarScan, window, cfg: VehicleConfig
@@ -124,44 +118,19 @@ def scan_to_factors(scan: RadarScan, window, cfg: VehicleConfig
     x_cap = window.ensure_state_at(scan.t_capture)
     if not scan.points:
         return []
-    az = np.array([p.azimuth for p in scan.points])
-    el = np.array([p.elevation for p in scan.points])
-    vd = np.array([p.doppler for p in scan.points])
-    if np.any(np.abs(vd) > ext.nyquist * (1.0 + 1e-12)):
-        worst = float(np.abs(vd).max())
-        raise AliasDomainError(
-            f"|v_d|={worst:.3f} exceeds V_N={ext.nyquist}")
-    b = bearing_vectors(az, el)
-    cx, cy, lever = body_projection(ext, b)
-    v_e = expected_doppler_many(x_cap[0], x_cap[1], x_cap[2], cx, cy, lever)
-    n = np.rint((v_e - vd) / (2.0 * ext.nyquist)).astype(int)
-    v_r = vd + 2.0 * n * ext.nyquist
-    factors = []
-    for i, p in enumerate(scan.points):
-        if gate_point(p, float(v_e[i]), float(v_r[i]), cfg) is not None:
-            continue
-        factors.append(DopplerFactor(
-            state_timestamp=scan.t_capture,
-            bearing=b[i],
-            v_r=float(v_r[i]),
-            sigma=cfg.covariances.sigma_doppler,
-            radar_id=scan.radar_id,
-            n_wraps=int(n[i]),
-            cx=float(cx[i]),
-            cy=float(cy[i]),
-            lever=float(lever[i]),
-        ))
-    return factors
-
-
-def doppler_residual(factor: DopplerFactor, x_at_capture: VehicleState,
-                     ext: RadarExtrinsics) -> float:
-    """Whitened scalar residual for one factor; the solver applies the
-    Cauchy robust loss on top of this value."""
-    v_e = expected_doppler(x_at_capture, ext,
-                           math.atan2(factor.bearing[1], factor.bearing[0]),
-                           math.asin(np.clip(factor.bearing[2], -1.0, 1.0)))
-    return (factor.v_r - v_e) / factor.sigma
+    pts = np.array([(p.azimuth, p.elevation, p.doppler, p.snr)
+                    for p in scan.points])
+    cx, cy, lever = body_projection(ext, bearing_vectors(pts[:, 0],
+                                                         pts[:, 1]))
+    v_e = expected_doppler(x_cap, cx, cy, lever)
+    v_r, n = dealias(pts[:, 2], v_e, ext.nyquist)
+    accepted = np.equal(gate_points(pts[:, 3], v_e, v_r, cfg), None)
+    return [DopplerFactor(state_timestamp=scan.t_capture, v_r=float(v_r[i]),
+                          sigma=cfg.covariances.sigma_doppler,
+                          radar_id=scan.radar_id, n_wraps=int(n[i]),
+                          cx=float(cx[i]), cy=float(cy[i]),
+                          lever=float(lever[i]))
+            for i in np.flatnonzero(accepted)]
 
 
 def ego_velocity_ls(scan: RadarScan, ext: RadarExtrinsics,

@@ -265,10 +265,9 @@ def simulate_truth(script: ManeuverScript, P_truth: TireParamSet,
             r_k = 0.0
             ax[i] = dvx[i]
             continue
-        af_k, ar_k = tire.slip_angles_raw(vx_k, vy_k, r_k, d_k,
-                                          cfg.lf, cfg.lr)
+        af_k, ar_k = tire.slip_angles(vx_k, vy_k, r_k, d_k, cfg)
         ax_k = dvx[i] - r_k * vy_k
-        Fzf, Fzr = tire.vertical_loads_raw(vx_k, ax_k, cfg)
+        Fzf, Fzr = tire.vertical_loads(vx_k, ax_k, cfg)
         Yf, _, _ = tire.magic_formula_derivs(tire.force_slip(af_k), pf)
         Yr, _, _ = tire.magic_formula_derivs(tire.force_slip(ar_k), pr)
         Fyf_k = Fzf * float(Yf)

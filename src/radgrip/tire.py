@@ -1,44 +1,32 @@
 """Lateral-dynamics measurement model: slip angles, vertical loads with
-aero downforce, the Pacejka lateral curve, and the inertial force split.
+aero downforce, the Pacejka lateral curve, the inertial force split and
+the whitened lateral-force factor with its partials.
 
 The curve output is normalized (force per unit vertical load), so axle
-forces are vertical load times curve value.  All formulas here are shared
-with the truth simulator through the *_raw array helpers.
+forces are vertical load times curve value.  Every function here works on
+arrays (one entry per state) and is shared with the truth simulator.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from radgrip.core import (GateError, InputSample, LoadDomainError,
-                          PacejkaAxleParams, SteeringDomainError,
-                          TireParamSet, VehicleConfig, VehicleState)
+from radgrip.core import PacejkaAxleParams, VehicleConfig
 
-# steering split is undefined past this; far beyond physical steering range
-_COS_DELTA_MIN = math.cos(math.radians(80.0))
+# the inertial split divides by cos(delta); lateral-force rows and outputs
+# are gated far before it vanishes, beyond any physical steering range
+COS_DELTA_MIN = 0.2
 
 
-def slip_angles_raw(vx, vy, r, delta, lf: float, lr: float):
-    """Front/rear axle slip angles without the speed gate (array-safe)."""
-    alpha_f = np.arctan((vy + r * lf) / vx) - delta
-    alpha_r = np.arctan((vy - r * lr) / vx)
+def slip_angles(vx, vy, r, delta, cfg: VehicleConfig):
+    """Front/rear axle slip angles (no speed gate; see force_gate)."""
+    alpha_f = np.arctan((vy + r * cfg.lf) / vx) - delta
+    alpha_r = np.arctan((vy - r * cfg.lr) / vx)
     return alpha_f, alpha_r
 
 
-def slip_angles(x: VehicleState, delta: float,
-                cfg: VehicleConfig) -> tuple[float, float]:
-    """Axle slip angles; gated on |vx| to stay clear of the 1/vx singularity."""
-    if abs(x.vx) < cfg.thresholds.V_Fy_min:
-        raise GateError(
-            f"|vx|={abs(x.vx):.3f} below V_Fy_min={cfg.thresholds.V_Fy_min}")
-    af, ar = slip_angles_raw(x.vx, x.vy, x.r, delta, cfg.lf, cfg.lr)
-    return float(af), float(ar)
-
-
-def vertical_loads_raw(vx, ax_meas, cfg: VehicleConfig):
-    """Static load, longitudinal transfer and downforce per axle (array-safe)."""
+def vertical_loads(vx, ax_meas, cfg: VehicleConfig):
+    """Static load, longitudinal transfer and downforce per axle."""
     wb = cfg.lf + cfg.lr
     q = 0.5 * cfg.rho * cfg.A * vx * vx
     Fzf = cfg.m / wb * (cfg.g * cfg.lr - ax_meas * cfg.hg) + cfg.Czf * q
@@ -46,26 +34,19 @@ def vertical_loads_raw(vx, ax_meas, cfg: VehicleConfig):
     return Fzf, Fzr
 
 
-def vertical_loads(x: VehicleState, u: InputSample,
-                   cfg: VehicleConfig) -> tuple[float, float]:
-    Fzf, Fzr = vertical_loads_raw(x.vx, u.ax_meas, cfg)
-    if Fzf <= 0.0 or Fzr <= 0.0:
-        raise LoadDomainError(
-            f"nonphysical vertical load Fzf={Fzf:.1f} Fzr={Fzr:.1f}")
-    return float(Fzf), float(Fzr)
-
-
-def magic_formula(slip: float, p: PacejkaAxleParams) -> float:
-    """Normalized lateral force Y(slip) = y(slip + Sh) + Sv with
-    y(s) = D sin(C atan(B s - E (B s - atan(B s))))."""
-    s = slip + p.Sh
-    u1 = p.B * s
-    inner = u1 - p.E * (u1 - math.atan(u1))
-    return p.D * math.sin(p.C * math.atan(inner)) + p.Sv
+def force_gate(vx, vy, delta, cfg: VehicleConfig):
+    """True where the lateral-force model applies: total speed above
+    V_Fy_min, |vx| at least V_Fy_min (clear of the 1/vx singularity of the
+    slip angles) and cos(delta) above COS_DELTA_MIN."""
+    v_min = cfg.thresholds.V_Fy_min
+    return ((np.hypot(vx, vy) > v_min) & (np.abs(vx) >= v_min)
+            & (np.cos(delta) > COS_DELTA_MIN))
 
 
 def magic_formula_values(slip, p6):
-    """Vectorized curve values only (cheaper than magic_formula_derivs)."""
+    """Normalized lateral force Y(slip) = y(slip + Sh) + Sv with
+    y(s) = D sin(C atan(B s - E (B s - atan(B s)))); p6 is
+    [B, C, D, E, Sh, Sv].  Cheaper than magic_formula_derivs."""
     slip = np.asarray(slip, dtype=float)
     B, C, D, E, Sh, Sv = (float(v) for v in p6)
     u1 = B * (slip + Sh)
@@ -114,43 +95,62 @@ def force_slip(alpha):
     return -alpha
 
 
-def model_lateral_forces(x: VehicleState, u: InputSample, P: TireParamSet,
-                         cfg: VehicleConfig) -> tuple[float, float]:
-    """Axle lateral forces from the tire curve at the current state."""
-    af, ar = slip_angles(x, u.delta, cfg)
-    Fzf, Fzr = vertical_loads(x, u, cfg)
-    return (Fzf * magic_formula(force_slip(af), P.front),
-            Fzr * magic_formula(force_slip(ar), P.rear))
+def model_lateral_forces(X, ax_meas, delta, P, cfg: VehicleConfig):
+    """Axle lateral forces (Fyf, Fyr) from the tire curve at state rows X
+    (..., 6); P holds the 12 parameters, front axle first."""
+    vx = X[..., 0]
+    af, ar = slip_angles(vx, X[..., 1], X[..., 2], delta, cfg)
+    Fzf, Fzr = vertical_loads(vx, ax_meas, cfg)
+    return (Fzf * magic_formula_values(force_slip(af), P[:6]),
+            Fzr * magic_formula_values(force_slip(ar), P[6:]))
 
 
-def measured_lateral_forces(ay_meas: float, delta: float,
-                            cfg: VehicleConfig) -> tuple[float, float]:
-    """Static-split inertial axle forces from lateral acceleration."""
-    cd = math.cos(delta)
-    if cd <= _COS_DELTA_MIN:
-        raise SteeringDomainError(f"cos(delta)={cd:.4f} too small")
+def measured_lateral_forces(ay_meas, delta, cfg: VehicleConfig):
+    """Static-split inertial axle forces (Fyf, Fyr) from lateral
+    acceleration."""
     wb = cfg.lf + cfg.lr
-    Fyf = (cfg.lr / wb) * cfg.m * ay_meas / cd
-    Fyr = (cfg.lf / wb) * cfg.m * ay_meas
-    return Fyf, Fyr
+    return ((cfg.lr / wb) * cfg.m * ay_meas / np.cos(delta),
+            (cfg.lf / wb) * cfg.m * ay_meas)
 
 
-def passes_force_gate(x: VehicleState, cfg: VehicleConfig) -> bool:
-    """Total-speed gate for the lateral-force model; also requires the
-    |vx| condition used by slip_angles so both stay consistent."""
-    v_min = cfg.thresholds.V_Fy_min
-    return math.hypot(x.vx, x.vy) > v_min and abs(x.vx) >= v_min
+def lateral_force_residual(X, ax_meas, delta, fy_meas, P, w,
+                           cfg: VehicleConfig) -> np.ndarray:
+    """Whitened (measured - model) axle forces, shape (n, 2), at state rows
+    X (n, 6); fy_meas (n, 2) from measured_lateral_forces, w the two
+    inverse standard deviations."""
+    Fyf, Fyr = model_lateral_forces(X, ax_meas, delta, P, cfg)
+    return (fy_meas - np.stack([Fyf, Fyr], axis=1)) * w
 
 
-def lateral_force_residual(x: VehicleState, u: InputSample, P: TireParamSet,
-                           cfg: VehicleConfig) -> np.ndarray | None:
-    """Whitened (measured - model) force residual, or None below the gate."""
-    if not passes_force_gate(x, cfg):
-        return None
-    Fyf_m, Fyr_m = measured_lateral_forces(u.ay_meas, u.delta, cfg)
-    Fyf, Fyr = model_lateral_forces(x, u, P, cfg)
-    raw = np.array([Fyf_m - Fyf, Fyr_m - Fyr])
-    return raw / np.sqrt(cfg.covariances.Sigma_Fy)
+def lateral_force_jacobian(X, ax_meas, delta, P, w, cfg: VehicleConfig):
+    """Partials of lateral_force_residual: d/d[vx, vy, r] of shape
+    (n, 2, 3) and d/dP of shape (n, 2, 12)."""
+    vx, vy, r = X[:, 0], X[:, 1], X[:, 2]
+    af, ar = slip_angles(vx, vy, r, delta, cfg)
+    Fzf, Fzr = vertical_loads(vx, ax_meas, cfg)
+    Yf, dYf_ds, dYf_dp = magic_formula_derivs(force_slip(af), P[:6])
+    Yr, dYr_ds, dYr_dp = magic_formula_derivs(force_slip(ar), P[6:])
+    qf = (vy + r * cfg.lf) / vx
+    qr = (vy - r * cfg.lr) / vx
+    gf = 1.0 / (1.0 + qf * qf)
+    gr = 1.0 / (1.0 + qr * qr)
+    # chain rule through force_slip: d(-alpha)/d(state)
+    daf_dvx, daf_dvy, daf_dr = gf * qf / vx, -gf / vx, -gf * cfg.lf / vx
+    dar_dvx, dar_dvy, dar_dr = gr * qr / vx, -gr / vx, gr * cfg.lr / vx
+    dFz_dvx_f = cfg.Czf * cfg.rho * cfg.A * vx
+    dFz_dvx_r = cfg.Czr * cfg.rho * cfg.A * vx
+    wf, wr = w[0], w[1]
+    dX = np.empty((len(vx), 2, 3))
+    dX[:, 0, 0] = -wf * (dFz_dvx_f * Yf + Fzf * dYf_ds * daf_dvx)
+    dX[:, 0, 1] = -wf * Fzf * dYf_ds * daf_dvy
+    dX[:, 0, 2] = -wf * Fzf * dYf_ds * daf_dr
+    dX[:, 1, 0] = -wr * (dFz_dvx_r * Yr + Fzr * dYr_ds * dar_dvx)
+    dX[:, 1, 1] = -wr * Fzr * dYr_ds * dar_dvy
+    dX[:, 1, 2] = -wr * Fzr * dYr_ds * dar_dr
+    dP = np.zeros((len(vx), 2, 12))
+    dP[:, 0, :6] = -wf * Fzf[:, None] * dYf_dp
+    dP[:, 1, 6:] = -wr * Fzr[:, None] * dYr_dp
+    return dX, dP
 
 
 def cornering_stiffness(p: PacejkaAxleParams) -> float:

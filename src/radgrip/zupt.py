@@ -3,7 +3,8 @@ and the zero-velocity measurement model used to initialize IMU biases.
 
 Conventions: world z is up, world gravity is (0, 0, -g); body z is up and a
 resting accelerometer reads +g on its up axis.  gravity_body is
-R_world_to_body @ (0, 0, -g).
+R_world_to_body @ (0, 0, -g), so a resting accelerometer reads
+-gravity_body.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from radgrip.core import (ImuSample, InsufficientDataError, VehicleConfig,
-                          VehicleState)
+from radgrip.core import ImuSample, InsufficientDataError, VehicleConfig
 
 
 @dataclass
@@ -58,62 +58,16 @@ def level_attitude(g: float) -> AttitudeEstimate:
     return AttitudeEstimate(np.eye(3), np.array([0.0, 0.0, -g]))
 
 
-class _Madgwick:
-    """Gradient-descent IMU orientation filter (accelerometer + gyro)."""
-
-    def __init__(self, beta: float = 0.1):
-        self.beta = beta
-        self.q = np.array([1.0, 0.0, 0.0, 0.0])
-
-    def update(self, gx, gy, gz, ax, ay, az, dt):
-        q1, q2, q3, q4 = self.q
-        norm = math.sqrt(ax * ax + ay * ay + az * az)
-        if norm == 0.0:
-            return
-        ax, ay, az = ax / norm, ay / norm, az / norm
-
-        _2q1, _2q2, _2q3, _2q4 = 2 * q1, 2 * q2, 2 * q3, 2 * q4
-        _4q1, _4q2, _4q3 = 4 * q1, 4 * q2, 4 * q3
-        _8q2, _8q3 = 8 * q2, 8 * q3
-        q1q1, q2q2, q3q3, q4q4 = q1 * q1, q2 * q2, q3 * q3, q4 * q4
-
-        s1 = _4q1 * q3q3 + _2q3 * ax + _4q1 * q2q2 - _2q2 * ay
-        s2 = (_4q2 * q4q4 - _2q4 * ax + 4 * q1q1 * q2 - _2q1 * ay - _4q2
-              + _8q2 * q2q2 + _8q2 * q3q3 + _4q2 * az)
-        s3 = (4 * q1q1 * q3 + _2q1 * ax + _4q3 * q4q4 - _2q4 * ay - _4q3
-              + _8q3 * q2q2 + _8q3 * q3q3 + _4q3 * az)
-        s4 = 4 * q2q2 * q4 - _2q2 * ax + 4 * q3q3 * q4 - _2q3 * ay
-        norm = math.sqrt(s1 * s1 + s2 * s2 + s3 * s3 + s4 * s4)
-        if norm > 0.0:
-            s1, s2, s3, s4 = s1 / norm, s2 / norm, s3 / norm, s4 / norm
-
-        qd1 = 0.5 * (-q2 * gx - q3 * gy - q4 * gz) - self.beta * s1
-        qd2 = 0.5 * (q1 * gx + q3 * gz - q4 * gy) - self.beta * s2
-        qd3 = 0.5 * (q1 * gy - q2 * gz + q4 * gx) - self.beta * s3
-        qd4 = 0.5 * (q1 * gz + q2 * gy - q3 * gx) - self.beta * s4
-
-        q = self.q + np.array([qd1, qd2, qd3, qd4]) * dt
-        self.q = q / np.linalg.norm(q)
-
-
-def _quat_to_rotation(q: np.ndarray) -> np.ndarray:
-    """Body-to-world rotation for the Madgwick quaternion (w, x, y, z)."""
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-
-
 def estimate_attitude(imu_window: Sequence[ImuSample],
                       cfg: VehicleConfig) -> AttitudeEstimate:
-    """Converged attitude from a standstill IMU window.
+    """Attitude from a standstill IMU window, in closed form.
 
-    Runs the orientation filter over the window repeatedly until the
-    per-sweep quaternion change falls below 1e-8.  Samples missing 3-axis
-    channels are completed with level-vehicle defaults (az = g, gx = gy = 0).
-    Raises InsufficientDataError when the window does not span T_stop.
+    At rest the accelerometer measures the reaction to gravity, so the
+    mean accelerometer direction is world-up in body axes: gravity_body is
+    -g along it, and rotation_world_to_body is the smallest rotation taking
+    world z onto it (yaw is unobservable at rest and set to zero).
+    Samples missing az are completed with a level-vehicle az = g.  Raises
+    InsufficientDataError when the window does not span T_stop.
     """
     samples = list(imu_window)
     if len(samples) < 2:
@@ -123,59 +77,41 @@ def estimate_attitude(imu_window: Sequence[ImuSample],
         raise InsufficientDataError(
             f"attitude window spans {span:.3f}s < T_stop="
             f"{cfg.thresholds.T_stop}s")
-    filt = _Madgwick(beta=0.1)
-    # seed from the mean accelerometer direction for fast convergence
     acc = np.array([[s.ax, s.ay, s.az if s.az is not None else cfg.g]
                     for s in samples])
-    mean_up = acc.mean(axis=0)
-    mean_up /= np.linalg.norm(mean_up)
-    filt.q = _quat_from_up(mean_up)
-    dts = np.diff([s.t for s in samples])
-    for _ in range(200):
-        q_before = filt.q.copy()
-        for i in range(1, len(samples)):
-            s = samples[i]
-            filt.update(
-                s.gx if s.gx is not None else 0.0,
-                s.gy if s.gy is not None else 0.0,
-                s.r,
-                s.ax, s.ay, s.az if s.az is not None else cfg.g,
-                max(float(dts[i - 1]), 1e-6),
-            )
-        if np.linalg.norm(filt.q - q_before) < 1e-8:
-            break
-    R_body_to_world = _quat_to_rotation(filt.q)
-    R_wb = R_body_to_world.T
-    gravity_body = R_wb @ np.array([0.0, 0.0, -cfg.g])
-    return AttitudeEstimate(R_wb, gravity_body)
-
-
-def _quat_from_up(up_body: np.ndarray) -> np.ndarray:
-    """Quaternion whose body frame sees world-up along up_body."""
-    z = np.array([0.0, 0.0, 1.0])
-    v = np.cross(up_body, z)
-    c = float(np.dot(up_body, z))
+    up = acc.mean(axis=0)
+    up /= np.linalg.norm(up)
+    # Rodrigues rotation about z x up; a half turn about x when upside down
+    c = up[2]
     if c < -0.999999:
-        return np.array([0.0, 1.0, 0.0, 0.0])
-    s = math.sqrt(2.0 * (1.0 + c))
-    q = np.array([s / 2.0, v[0] / s, v[1] / s, v[2] / s])
-    return q / np.linalg.norm(q)
+        R_wb = np.diag([1.0, -1.0, -1.0])
+    else:
+        V = np.array([[0.0, 0.0, up[0]], [0.0, 0.0, up[1]],
+                      [-up[0], -up[1], 0.0]])
+        R_wb = np.eye(3) + V + V @ V / (1.0 + c)
+    return AttitudeEstimate(R_wb, -cfg.g * up)
 
 
 def gravity_compensate(ax_meas: float, ay_meas: float,
                        att: AttitudeEstimate) -> tuple[float, float]:
-    """Measured accelerations minus the body-frame gravity components."""
-    return (ax_meas - att.gravity_body[0], ay_meas - att.gravity_body[1])
+    """Measured accelerations with gravity removed: a resting
+    accelerometer reads -gravity_body, so adding gravity_body cancels it."""
+    return (ax_meas + att.gravity_body[0], ay_meas + att.gravity_body[1])
 
 
-def zv_residual(x: VehicleState, ax_tilde: float, ay_tilde: float,
-                r_meas: float, sigma_zv: np.ndarray) -> np.ndarray:
-    """Whitened zero-velocity residual: velocities and yaw rate at zero,
-    accel biases at the gravity-compensated readings, gyro bias at the raw
-    yaw-rate sample."""
-    raw = np.array([x.vx, x.vy, x.r,
-                    x.bx - ax_tilde, x.by - ay_tilde, x.br - r_meas])
-    return raw / np.sqrt(np.asarray(sigma_zv, dtype=float))
+def zv_residual(X, zv, w) -> np.ndarray:
+    """Whitened zero-velocity residuals at state rows X (n, 6): velocities
+    and yaw rate at zero, accel biases at the gravity-compensated readings
+    and gyro bias at the raw yaw-rate sample, zv (n, 3) = (ax_tilde,
+    ay_tilde, r_meas)."""
+    raw = np.array(X, dtype=float)
+    raw[:, 3:] -= zv
+    return raw * w
+
+
+def zv_jacobian(n: int, w) -> np.ndarray:
+    """Partials of zv_residual, one diagonal (6, 6) block per row."""
+    return np.broadcast_to(np.diag(w), (n, 6, 6))
 
 
 def accel_magnitude_deviation(ax: float, ay: float, az: float | None,

@@ -9,12 +9,19 @@ from radgrip.core import (ImuSample, InputSample, RadarPoint, RadarScan,
 from radgrip.mhe import (Estimator, SlidingWindow, SolveReport,
                          WindowProblem, estimate_outputs, replay_events,
                          solve, solve_problem)
-from radgrip.radar import expected_doppler, scan_to_factors
+from radgrip.radar import (bearing_vectors, body_projection,
+                           expected_doppler, scan_to_factors)
 from radgrip.simgen import P_TRUTH_DEFAULT, wrap
-from radgrip.core import VehicleState
 
 CFG = default_config()
 DT = CFG.thresholds.dt
+
+
+def _v_e(vx, azimuth, elevation):
+    """Expected Doppler on radar 0 of a static point, driving straight."""
+    b = bearing_vectors(np.array([azimuth]), np.array([elevation]))
+    x = np.array([vx, 0.0, 0.0, 0.0, 0.0, 0.0])
+    return float(expected_doppler(x, *body_projection(CFG.radars[0], b))[0])
 
 
 def _zero_input(t):
@@ -30,7 +37,6 @@ def _cruise_window(vx=15.0, n=15, with_scans=3):
         win.push_state(k * DT, _zero_input(k * DT))
     win.prior_x = win.states[0].x.copy()
     win.prior_P = P_TRUTH_DEFAULT.as_array()
-    truth = VehicleState(0.0, vx, 0.0, 0.0, 0.0, 0.0, 0.0)
     rng = np.random.default_rng(0)
     for s in range(with_scans):
         t_cap = win.newest_t() - 0.0205 * (s + 1) - 0.0032
@@ -38,7 +44,7 @@ def _cruise_window(vx=15.0, n=15, with_scans=3):
         for _ in range(8):
             az = float(rng.uniform(-0.5, 0.5))
             el = float(rng.uniform(-0.1, 0.1))
-            v = expected_doppler(truth, CFG.radars[0], az, el)
+            v = _v_e(vx, az, el)
             pts.append(RadarPoint(10.0, az, el, wrap(v, 26.5), 25.0))
         scan = RadarScan(0, t_cap, win.newest_t(), tuple(pts))
         win.doppler.extend(scan_to_factors(scan, win, CFG))
@@ -134,11 +140,8 @@ def test_shift_span_arithmetic():
 
 def test_shift_refreshes_priors_and_drops_factors():
     win = _cruise_window(n=18, with_scans=0)
-    truth = VehicleState(0.0, 15.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     # factor bound near the start gets evicted with its state
-    pts = [RadarPoint(10.0, 0.0, 0.0,
-                      wrap(expected_doppler(truth, CFG.radars[0], 0, 0),
-                           26.5), 25.0)]
+    pts = [RadarPoint(10.0, 0.0, 0.0, wrap(_v_e(15.0, 0, 0), 26.5), 25.0)]
     scan = RadarScan(0, win.oldest_t() + 0.0052, win.newest_t(), tuple(pts))
     win.doppler.extend(scan_to_factors(scan, win, CFG))
     assert len(win.doppler) == 1
@@ -178,14 +181,13 @@ def _mini_events(duration=1.0, vx=0.0):
         events.append(ImuSample(round(t, 6), 0.0, 0.0, 0.0, az=9.81,
                                 gx=0.0, gy=0.0))
         t += 0.005
-    truth = VehicleState(0.0, vx, 0.0, 0.0, 0.0, 0.0, 0.0)
     t_cap = 0.203
     while t_cap < duration - 0.01:
         pts = []
         rng = np.random.default_rng(int(t_cap * 1000))
         for _ in range(10):
             az = float(rng.uniform(-0.5, 0.5))
-            v = expected_doppler(truth, CFG.radars[0], az, 0.0)
+            v = _v_e(vx, az, 0.0)
             pts.append(RadarPoint(10.0, az, 0.0, wrap(v, 26.5), 25.0))
         events.append(RadarScan(0, round(t_cap, 6), round(t_cap, 6), pts))
         t_cap += 0.02
@@ -272,3 +274,21 @@ def test_solve_report_breakdown_classes():
     assert set(report.breakdown) == {"prior_state", "prior_params",
                                      "process", "zupt", "lateral_force",
                                      "doppler"}
+
+
+def test_nonphysical_load_row_emits_nulls_without_aborting():
+    # 100 m/s^2 for 0.1 s takes the IMU-only estimate to 10 m/s with a
+    # negative front load; rows past the speed gate there leave their slip
+    # and force fields empty, and the replay carries on past them
+    events = [ImuSample(k * 0.005, 100.0 if 40 <= k < 60 else 0.0, 0.0, 0.0)
+              for k in range(121)]
+    rows = replay_events(events, CFG).rows
+    assert rows[-1].t == pytest.approx(0.6)
+    spike = [row for row in rows if 0.26 <= row.t < 0.295]
+    after = [row for row in rows if row.t >= 0.3]
+    assert spike and after
+    for row in spike:
+        assert row.vx > CFG.thresholds.V_Fy_min
+        assert row.alpha_f is row.Fyf is row.Fyr is row.beta is None
+    for row in after:
+        assert None not in (row.alpha_f, row.Fyf, row.Fyr, row.beta)

@@ -3,60 +3,60 @@ import math
 import numpy as np
 import pytest
 
-from radgrip.core import (InputSample, NumericError, VehicleState,
-                          WindowOrderError)
-from radgrip.motion import (process_residual, state_transition,
+from radgrip.core import (InputSample, NumericError, WindowOrderError,
+                          default_config)
+from radgrip.mhe import SlidingWindow, WindowProblem
+from radgrip.motion import (predict_array, process_residual,
                             transition_jacobian)
 
 
-def _x(vx=0.0, vy=0.0, r=0.0, bx=0.0, by=0.0, br=0.0, t=0.0):
-    return VehicleState(t, vx, vy, r, bx, by, br)
+def _x(vx=0.0, vy=0.0, r=0.0, bx=0.0, by=0.0, br=0.0):
+    return np.array([vx, vy, r, bx, by, br])
 
 
-def _u(ax=0.0, ay=0.0, r=0.0, delta=0.0, t=0.0):
-    return InputSample(t, ax, ay, r, delta)
+def _step(x, ax=0.0, ay=0.0, r=0.0, dt=0.01):
+    return predict_array(x, ax, ay, r, dt)
 
 
 def test_zero_input_fixed_point():
     for dt in (0.001, 0.01, 0.1):
-        nxt = state_transition(_x(), _u(), dt)
-        assert nxt.as_array().tolist() == [0.0] * 6
-        assert nxt.t == pytest.approx(dt)
+        nxt = _step(_x(), dt=dt)
+        assert nxt.tolist() == [0.0] * 6
+    # rows step independently, each with its own input and dt
+    rows = predict_array(np.zeros((3, 6)), np.zeros(3), np.zeros(3),
+                         np.zeros(3), np.array([0.001, 0.01, 0.1]))
+    assert rows.tolist() == [[0.0] * 6] * 3
 
 
 def test_euler_step_longitudinal():
-    nxt = state_transition(_x(vx=10.0), _u(ax=2.0), 0.01)
-    assert nxt.vx == pytest.approx(10.02)
-    assert nxt.vy == 0.0
+    nxt = _step(_x(vx=10.0), ax=2.0)
+    assert nxt[0] == pytest.approx(10.02)
+    assert nxt[1] == 0.0
 
 
 def test_euler_step_coriolis():
-    nxt = state_transition(_x(vx=10.0, r=1.0), _u(r=1.0), 0.01)
-    assert nxt.vx == pytest.approx(10.0)
-    assert nxt.vy == pytest.approx(-0.1)
-    assert nxt.r == pytest.approx(1.0)
+    nxt = _step(_x(vx=10.0, r=1.0), r=1.0)
+    assert nxt[0] == pytest.approx(10.0)
+    assert nxt[1] == pytest.approx(-0.1)
+    assert nxt[2] == pytest.approx(1.0)
 
 
 def test_yaw_rate_is_algebraic_from_previous_gyro():
-    nxt = state_transition(_x(r=0.5, br=0.02), _u(r=0.3), 0.01)
-    assert nxt.r == pytest.approx(0.3 - 0.02)
+    nxt = _step(_x(r=0.5, br=0.02), r=0.3)
+    assert nxt[2] == pytest.approx(0.3 - 0.02)
 
 
 def test_bias_transparency():
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        x = _x(*rng.normal(0, 1, 6))
-        u = _u(*rng.normal(0, 1, 3))
-        c = rng.normal(0, 1, 3)
-        x_shift = VehicleState(x.t, x.vx, x.vy, x.r,
-                               x.bx + c[0], x.by + c[1], x.br + c[2])
-        u_shift = InputSample(u.t, u.ax_meas + c[0], u.ay_meas + c[1],
-                              u.r_meas + c[2], 0.0)
-        a = state_transition(x, u, 0.01)
-        b = state_transition(x_shift, u_shift, 0.01)
-        assert b.vx == pytest.approx(a.vx, abs=1e-12)
-        assert b.vy == pytest.approx(a.vy, abs=1e-12)
-        assert b.r == pytest.approx(a.r, abs=1e-12)
+    X = rng.normal(0, 1, (50, 6))
+    U = rng.normal(0, 1, (50, 3))
+    c = rng.normal(0, 1, (50, 3))
+    X_shift = X.copy()
+    X_shift[:, 3:] += c
+    U_shift = U + c
+    a = predict_array(X, *U.T, 0.01)
+    b = predict_array(X_shift, *U_shift.T, 0.01)
+    assert np.allclose(b[:, :3], a[:, :3], rtol=0.0, atol=1e-12)
 
 
 def test_single_step_error_is_second_order():
@@ -75,57 +75,89 @@ def test_single_step_error_is_second_order():
     errs = []
     for dt in (0.01, 0.005):
         vx, vy, r, ax, ay = truth(t0)
-        pred = state_transition(_x(vx=vx, vy=vy, r=r), _u(ax=ax, ay=ay), dt)
+        pred = _step(_x(vx=vx, vy=vy, r=r), ax=ax, ay=ay, dt=dt)
         vx1, vy1, _, _, _ = truth(t0 + dt)
-        errs.append(math.hypot(pred.vx - vx1, pred.vy - vy1))
+        errs.append(math.hypot(pred[0] - vx1, pred[1] - vy1))
     assert errs[0] / errs[1] >= 3.5
 
 
+def _chain(x0, ax, ay, r, dt):
+    """State chain of len(dt) + 1 rows following the model exactly."""
+    X = [x0]
+    for k in range(len(dt)):
+        X.append(predict_array(X[-1], ax[k], ay[k], r[k], dt[k]))
+    return np.array(X)
+
+
 def test_process_residual_zero_for_model_pair():
-    x = _x(vx=12.0, vy=0.4, r=0.2, bx=0.05)
-    u = _u(ax=1.0, ay=-0.5, r=0.21)
-    sigma_w = np.full(6, 1e-4)
-    nxt = state_transition(x, u, 0.01)
-    res = process_residual(nxt, x, u, 0.01, sigma_w)
+    ax, ay, r = np.array([1.0, 0.3]), np.array([-0.5, 0.1]), [0.21, 0.2]
+    dt = np.array([0.01, 0.004])
+    X = _chain(_x(vx=12.0, vy=0.4, r=0.2, bx=0.05), ax, ay, r, dt)
+    w = np.full((2, 6), 100.0)
+    res = process_residual(X, ax, ay, r, dt, w)
+    assert res.shape == (2, 6)
     assert np.allclose(res, 0.0, atol=1e-12)
 
 
 def test_process_residual_whitening():
-    # weight 10 on vx means variance 0.01 at this dt
-    sigma_w = np.array([0.01, 1.0, 1.0, 1.0, 1.0, 1.0])
-    x = _x(vx=5.0)
-    u = _u()
-    nxt = state_transition(x, u, 0.01)
-    bumped = VehicleState(nxt.t, nxt.vx + 0.1, nxt.vy, nxt.r,
-                          nxt.bx, nxt.by, nxt.br)
-    res = process_residual(bumped, x, u, 0.01, sigma_w, dt_nominal=0.01)
-    assert res[0] == pytest.approx(1.0)
-    assert np.allclose(res[1:], 0.0)
+    # variance 0.01 on vx per nominal dt: the window whitens a 0.1 error
+    # over a grid step to 1, and scales the variance with the step length
+    cfg = default_config()
+    cfg.covariances.Sigma_w = np.array([0.01, 1.0, 1.0, 1.0, 1.0, 1.0])
+    win = SlidingWindow(cfg)
+    u = InputSample(0.0, 0.0, 0.0, 0.0, 0.0)
+    win.seed(0.0, u)
+    win.states[0].x[0] = 5.0
+    win.push_state(0.01, u)
+    win.ensure_state_at(0.015)
+    for s in win.states[1:]:
+        s.x[0] += 0.1
+    problem = WindowProblem(win, cfg.initial_params.as_array(), cfg)
+    res = problem.residuals(problem.z_init())[problem.slices["process"]]
+    res = res.reshape(2, 6)
+    assert res[0, 0] == pytest.approx(1.0)
+    assert res[1, 0] == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(res[:, 1:], 0.0)
+    X = np.array([s.x for s in win.states])
+    w = 1.0 / np.sqrt(cfg.covariances.Sigma_w * np.array([[1.0], [0.5]]))
+    assert np.allclose(process_residual(X, *np.zeros((3, 3)),
+                                        np.array([0.01, 0.005]), w), res)
 
 
 def test_process_residual_rejects_nonpositive_dt():
+    # the window refuses a state that does not advance time, so no process
+    # residual is ever formed over dt <= 0
+    win = SlidingWindow(default_config())
+    u = InputSample(0.0, 0.0, 0.0, 0.0, 0.0)
+    win.seed(0.0, u)
     with pytest.raises(WindowOrderError):
-        process_residual(_x(), _x(), _u(), 0.0, np.ones(6))
+        win.push_state(0.0, u)
 
 
-def test_state_transition_rejects_nonfinite():
-    with pytest.raises(NumericError):
-        state_transition(_x(vx=float("nan")), _u(), 0.01)
+def test_nonfinite_state_raises_numeric_error():
+    cfg = default_config()
+    win = SlidingWindow(cfg)
+    u = InputSample(0.0, 0.0, 0.0, 0.0, 0.0)
+    win.seed(0.0, u)
+    win.push_state(0.01, u)
+    win.states[0].x[0] = float("nan")
+    problem = WindowProblem(win, cfg.initial_params.as_array(), cfg)
+    with pytest.raises(NumericError, match="prior_state"):
+        problem.check_finite(problem.residuals(problem.z_init()))
 
 
 def test_transition_jacobian_matches_finite_differences():
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        xa = rng.normal(0, 2, 6)
-        u = _u(*rng.normal(0, 1, 3))
-        dt = 0.01
-        F = transition_jacobian(xa, dt)
-        for j in range(6):
-            h = 1e-6
-            xp, xm = xa.copy(), xa.copy()
-            xp[j] += h
-            xm[j] -= h
-            fp = state_transition(VehicleState(0, *xp), u, dt).as_array()
-            fm = state_transition(VehicleState(0, *xm), u, dt).as_array()
-            fd = (fp - fm) / (2 * h)
-            assert np.allclose(F[:, j], fd, atol=1e-8)
+    X = rng.normal(0, 2, (20, 6))
+    U = rng.normal(0, 1, (20, 3))
+    dt = 0.01
+    F = transition_jacobian(X, dt)
+    assert F.shape == (20, 6, 6)
+    h = 1e-6
+    for j in range(6):
+        Xp, Xm = X.copy(), X.copy()
+        Xp[:, j] += h
+        Xm[:, j] -= h
+        fd = (predict_array(Xp, *U.T, dt)
+              - predict_array(Xm, *U.T, dt)) / (2 * h)
+        assert np.allclose(F[:, :, j], fd, atol=1e-8)

@@ -4,46 +4,52 @@ import numpy as np
 import pytest
 
 from radgrip.core import (AliasDomainError, InputSample, RadarPoint,
-                          RadarScan, StaleScanError, VehicleState,
-                          default_config)
+                          RadarScan, StaleScanError, default_config)
 from radgrip.mhe import SlidingWindow
-from radgrip.radar import (REJECT_INNOVATION, REJECT_LOW_SNR, bearing_vector,
-                           dealias, doppler_residual, ego_velocity_ls,
-                           expected_doppler, gate_point, scan_to_factors)
+from radgrip.radar import (REJECT_INNOVATION, REJECT_LOW_SNR,
+                           bearing_vectors, body_projection, dealias,
+                           doppler_residual, ego_velocity_ls,
+                           expected_doppler, gate_points, scan_to_factors)
 from radgrip.simgen import wrap
 
 CFG = default_config()
 
 
-def _x(vx=0.0, vy=0.0, r=0.0, t=0.0):
-    return VehicleState(t, vx, vy, r, 0.0, 0.0, 0.0)
+def _x(vx=0.0, vy=0.0, r=0.0):
+    return np.array([vx, vy, r, 0.0, 0.0, 0.0])
+
+
+def _v_e(x, ext, azimuth, elevation):
+    """Expected Doppler of one static point at this bearing."""
+    b = bearing_vectors(np.array([azimuth]), np.array([elevation]))
+    return float(expected_doppler(x, *body_projection(ext, b))[0])
 
 
 def test_bearing_boresight():
-    assert np.allclose(bearing_vector(0.0, 0.0), [1.0, 0.0, 0.0])
+    assert np.allclose(bearing_vectors(0.0, 0.0), [1.0, 0.0, 0.0])
 
 
 def test_bearing_left_abeam():
-    assert np.allclose(bearing_vector(math.pi / 2, 0.0), [0.0, 1.0, 0.0],
+    assert np.allclose(bearing_vectors(math.pi / 2, 0.0), [0.0, 1.0, 0.0],
                        atol=1e-15)
 
 
 def test_bearing_unit_norm():
     rng = np.random.default_rng(2)
-    for _ in range(200):
-        b = bearing_vector(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3))
-        assert abs(np.linalg.norm(b) - 1.0) < 1e-12
+    b = bearing_vectors(rng.uniform(-1, 1, 200), rng.uniform(-0.3, 0.3, 200))
+    assert b.shape == (200, 3)
+    assert np.all(np.abs(np.linalg.norm(b, axis=1) - 1.0) < 1e-12)
 
 
 def test_expected_doppler_forward():
     ext = CFG.radars[0]  # identity rotation at (2, 0, 0.2)
-    v = expected_doppler(_x(vx=20.0), ext, 0.0, 0.0)
+    v = _v_e(_x(vx=20.0), ext, 0.0, 0.0)
     assert v == pytest.approx(-20.0)
 
 
 def test_expected_doppler_lever_arm():
     ext = type(CFG.radars[0])(np.eye(3), np.array([2.0, 0.0, 0.0]), 26.5)
-    v = expected_doppler(_x(r=1.0), ext, math.pi / 2, 0.0)
+    v = _v_e(_x(r=1.0), ext, math.pi / 2, 0.0)
     assert v == pytest.approx(-2.0)
 
 
@@ -51,61 +57,65 @@ def test_expected_doppler_rotated_radar():
     c, s = math.cos(math.pi / 2), math.sin(math.pi / 2)
     R = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
     ext = type(CFG.radars[0])(R, np.zeros(3), 26.5)
-    v = expected_doppler(_x(vx=10.0), ext, 0.0, 0.0)
+    v = _v_e(_x(vx=10.0), ext, 0.0, 0.0)
     assert v == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dealias_in_band():
-    assert dealias(10.0, 10.0, 26.5) == (10.0, 0)
+    v_r, n = dealias([10.0], [10.0], 26.5)
+    assert (v_r.tolist(), n.tolist()) == ([10.0], [0])
 
 
 def test_dealias_one_wrap_up():
-    v_r, n = dealias(-20.0, 31.0, 26.5)
-    assert (v_r, n) == (33.0, 1)
+    v_r, n = dealias([-20.0], [31.0], 26.5)
+    assert (v_r.tolist(), n.tolist()) == ([33.0], [1])
 
 
 def test_dealias_one_wrap_down():
-    v_r, n = dealias(23.0, -30.0, 26.5)
-    assert (v_r, n) == (-30.0, -1)
+    v_r, n = dealias([23.0, 10.0], [-30.0, 10.0], 26.5)
+    assert (v_r.tolist(), n.tolist()) == ([-30.0, 10.0], [-1, 0])
 
 
 def test_dealias_rejects_out_of_band_measurement():
     with pytest.raises(AliasDomainError):
-        dealias(30.0, 0.0, 26.5)
+        dealias([5.0, 30.0], [0.0, 0.0], 26.5)
+    # the replay path raises it for the whole scan
+    win = _window_at_speed(20.0)
+    pts = [RadarPoint(10.0, 0.0, 0.0, -20.0, 25.0),
+           RadarPoint(10.0, 0.1, 0.0, 30.0, 25.0)]
+    with pytest.raises(AliasDomainError):
+        scan_to_factors(_scan(pts, win.newest_t() - 0.05, win.newest_t()),
+                        win, CFG)
 
 
 def test_dealias_tie_breaks_to_even():
-    # |v_e - v_d| exactly V_N: ratio is 0.5, nint gives 0 (half to even)
-    v_r, n = dealias(0.0, 26.5, 26.5)
-    assert n == 0 and v_r == 0.0
-    v_r, n = dealias(0.0, 79.5, 26.5)  # ratio 1.5 rounds to 2
-    assert n == 2
+    # |v_e - v_d| exactly V_N: ratio is 0.5, nint gives 0 (half to even);
+    # ratio 1.5 rounds to 2
+    v_r, n = dealias([0.0, 0.0], [26.5, 79.5], 26.5)
+    assert n.tolist() == [0, 2] and v_r[0] == 0.0
 
 
 def test_dealias_recovers_exactly():
     rng = np.random.default_rng(9)
     V_N = 26.5
-    for _ in range(10_000):
-        v_true = rng.uniform(-4 * V_N, 4 * V_N)
-        v_e = v_true + rng.uniform(-0.95 * V_N, 0.95 * V_N)
-        v_d = wrap(v_true, V_N)
-        v_rec, _ = dealias(v_d, v_e, V_N)
-        assert abs(v_rec - v_true) < 1e-12
+    v_true = rng.uniform(-4 * V_N, 4 * V_N, 10_000)
+    v_e = v_true + rng.uniform(-0.95 * V_N, 0.95 * V_N, 10_000)
+    v_rec, _ = dealias(wrap(v_true, V_N), v_e, V_N)
+    assert np.all(np.abs(v_rec - v_true) < 1e-12)
 
 
 def test_gate_accepts_clean_point():
-    p = RadarPoint(10.0, 0.0, 0.0, 5.0, 25.0)
-    assert gate_point(p, 5.4, 5.0, CFG) is None
+    assert gate_points([25.0], [5.4], [5.0], CFG)[0] is None
 
 
 def test_gate_low_snr():
-    p = RadarPoint(10.0, 0.0, 0.0, 5.0, 4.0)
-    assert gate_point(p, 5.0, 5.0, CFG) == REJECT_LOW_SNR
+    assert gate_points([4.0], [5.0], [5.0], CFG)[0] == REJECT_LOW_SNR
 
 
 def test_gate_innovation():
-    p = RadarPoint(10.0, 0.0, 0.0, 5.0, 25.0)
-    assert gate_point(p, 0.0, 5.0, CFG) == REJECT_INNOVATION
+    reason = gate_points([25.0, 4.0, 25.0], [0.0, 0.0, 5.0],
+                         [5.0, 5.0, 5.0], CFG)
+    assert reason.tolist() == [REJECT_INNOVATION, REJECT_LOW_SNR, None]
 
 
 def test_gate_monotone_in_snr():
@@ -113,11 +123,12 @@ def test_gate_monotone_in_snr():
     import copy
     lowered = copy.deepcopy(CFG)
     lowered.thresholds.snr_min = 5.0
-    for _ in range(200):
-        p = RadarPoint(10.0, 0.0, 0.0, 5.0, float(rng.uniform(0, 40)))
-        inno = float(rng.uniform(0, 5))
-        if gate_point(p, 5.0 + inno, 5.0, CFG) is None:
-            assert gate_point(p, 5.0 + inno, 5.0, lowered) is None
+    snr = rng.uniform(0, 40, 200)
+    v_e = 5.0 + rng.uniform(0, 5, 200)
+    v_r = np.full(200, 5.0)
+    kept = np.equal(gate_points(snr, v_e, v_r, CFG), None)
+    kept_low = np.equal(gate_points(snr, v_e, v_r, lowered), None)
+    assert kept.any() and np.all(kept_low[kept])
 
 
 def _window_at_speed(vx, t_end=1.0):
@@ -191,40 +202,43 @@ def test_stale_scan_rejected():
                         win, CFG)
 
 
+def _residual(f, x, sigma=None):
+    """Whitened residual of one factor at state x."""
+    w = 1.0 / (f.sigma if sigma is None else sigma)
+    return float(doppler_residual(x, f.v_r, f.cx, f.cy, f.lever, w))
+
+
 def test_doppler_residual_consistency():
     win = _window_at_speed(20.0)
     pts = [RadarPoint(10.0, 0.1, 0.02, wrap(
-        expected_doppler(_x(vx=20.0), CFG.radars[0], 0.1, 0.02), 26.5), 25.0)]
+        _v_e(_x(vx=20.0), CFG.radars[0], 0.1, 0.02), 26.5), 25.0)]
     f = scan_to_factors(_scan(pts, win.newest_t() - 0.05, win.newest_t()),
                         win, CFG)[0]
-    res = doppler_residual(f, _x(vx=20.0), CFG.radars[0])
-    assert res == pytest.approx(0.0, abs=1e-9)
+    assert _residual(f, _x(vx=20.0)) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_doppler_residual_velocity_error():
     # boresight forward point: 1 m/s vx error over sigma 0.2 gives |5.0|
     ext = CFG.radars[0]
-    v_true = expected_doppler(_x(vx=20.0), ext, 0.0, 0.0)
+    v_true = _v_e(_x(vx=20.0), ext, 0.0, 0.0)
     win = _window_at_speed(20.0)
     pts = [RadarPoint(10.0, 0.0, 0.0, wrap(v_true, 26.5), 25.0)]
     f = scan_to_factors(_scan(pts, win.newest_t() - 0.05, win.newest_t()),
                         win, CFG)[0]
-    f_scaled = type(f)(f.state_timestamp, f.bearing, f.v_r, 0.2, f.radar_id,
-                       f.n_wraps, f.cx, f.cy, f.lever)
-    res = doppler_residual(f_scaled, _x(vx=19.0), ext)
+    res = _residual(f, _x(vx=19.0), sigma=0.2)
     assert abs(res) == pytest.approx(5.0, abs=1e-9)
 
 
 def test_doppler_residual_lateral_orthogonality():
     # point at pi/2 sees vy only; vx error does not move the residual
     ext = type(CFG.radars[0])(np.eye(3), np.zeros(3), 26.5)
-    v_true = expected_doppler(_x(vx=20.0, vy=0.5), ext, math.pi / 2, 0.0)
+    v_true = _v_e(_x(vx=20.0, vy=0.5), ext, math.pi / 2, 0.0)
     win = _window_at_speed(20.0)
     pts = [RadarPoint(10.0, math.pi / 2, 0.0, wrap(v_true, 26.5), 25.0)]
     f = scan_to_factors(_scan(pts, win.newest_t() - 0.05, win.newest_t()),
                         win, CFG)[0]
-    r1 = doppler_residual(f, _x(vx=20.0, vy=0.5), ext)
-    r2 = doppler_residual(f, _x(vx=15.0, vy=0.5), ext)
+    r1 = _residual(f, _x(vx=20.0, vy=0.5))
+    r2 = _residual(f, _x(vx=15.0, vy=0.5))
     assert r1 == pytest.approx(r2, abs=1e-9)
 
 
@@ -234,7 +248,7 @@ def test_ego_velocity_ls():
     pts = []
     for _ in range(20):
         az, el = rng.uniform(-0.6, 0.6), rng.uniform(-0.1, 0.1)
-        vd = expected_doppler(_x(vx=12.0, vy=0.8), ext, az, el)
+        vd = _v_e(_x(vx=12.0, vy=0.8), ext, az, el)
         pts.append(RadarPoint(10.0, az, el, vd, 25.0))
     sol = ego_velocity_ls(_scan(pts, 0.0, 0.0), ext, 10.0)
     # lever arm of the yaw term is zero here (r = 0), so LS is exact

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from radgrip.core import (GateError, InputSample, LoadDomainError,
-                          PacejkaAxleParams, SteeringDomainError,
-                          TireParamSet, VehicleState, default_config)
-from radgrip.tire import (cornering_stiffness, force_slip,
-                          lateral_force_residual, magic_formula,
-                          magic_formula_derivs, magic_formula_values,
-                          measured_lateral_forces, model_lateral_forces,
-                          slip_angles, vertical_loads)
+from radgrip.core import (InputSample, PacejkaAxleParams, TireParamSet,
+                          default_config)
+from radgrip.mhe import SlidingWindow, WindowProblem, estimate_outputs
+from radgrip.tire import (cornering_stiffness, force_gate, force_slip,
+                          lateral_force_residual, magic_formula_derivs,
+                          magic_formula_values, measured_lateral_forces,
+                          model_lateral_forces, slip_angles, vertical_loads)
 
 CFG = default_config()
 
@@ -20,85 +19,109 @@ EX.m, EX.lf, EX.lr, EX.g, EX.hg = 800.0, 1.7, 1.5, 9.81, 0.3
 
 
 def _x(vx, vy=0.0, r=0.0):
-    return VehicleState(0.0, vx, vy, r, 0.0, 0.0, 0.0)
+    return np.array([vx, vy, r, 0.0, 0.0, 0.0])
 
 
-def _u(ax=0.0, ay=0.0, delta=0.0):
-    return InputSample(0.0, ax, ay, 0.0, delta)
+def _window(vx, ax=0.0, ay=0.0, delta=0.0, cfg=CFG):
+    """Two-state window at constant speed with the given inputs."""
+    win = SlidingWindow(cfg)
+    win.seed(0.0, InputSample(0.0, ax, ay, 0.0, delta))
+    win.states[0].x[0] = vx
+    win.push_state(0.01, InputSample(0.01, ax, ay, 0.0, delta))
+    return win
+
+
+def _residual(x, ay, P, cfg, ax=0.0, delta=0.0):
+    """Whitened lateral-force residual of one state row."""
+    fy = np.stack(measured_lateral_forces(np.array([ay]), np.array([delta]),
+                                          cfg), axis=1)
+    return lateral_force_residual(
+        x[None], np.array([ax]), np.array([delta]), fy, P,
+        1.0 / np.sqrt(cfg.covariances.Sigma_Fy), cfg)[0]
 
 
 def test_slip_angles_straight():
-    assert slip_angles(_x(50.0), 0.0, CFG) == (0.0, 0.0)
+    assert slip_angles(50.0, 0.0, 0.0, 0.0, CFG) == (0.0, 0.0)
 
 
 def test_slip_angle_front_oracle():
-    af, _ = slip_angles(_x(10.0, vy=1.0), 0.0, CFG)
+    af, _ = slip_angles(10.0, 1.0, 0.0, 0.0, CFG)
     assert af == pytest.approx(0.09966865249116203, abs=1e-12)
 
 
 def test_slip_angle_rear_oracle():
     cfg = default_config()
     cfg.lr = 1.5
-    _, ar = slip_angles(_x(10.0, vy=1.0, r=0.5), 0.0, cfg)
+    _, ar = slip_angles(np.array([10.0, 10.0]), 1.0, 0.5, 0.0, cfg)
     assert ar == pytest.approx(0.024994793618920157, abs=1e-12)
 
 
 def test_slip_angles_gate():
-    with pytest.raises(GateError):
-        slip_angles(_x(2.0), 0.0, CFG)
+    # the gate keeps slip angles clear of the 1/vx singularity: the
+    # solver forms no lateral-force row and the output no slip below it
+    gate = force_gate(np.array([2.0, 2.0, 6.0, -6.0]),
+                      np.array([0.0, 6.0, 0.0, 0.0]), 0.0, CFG)
+    assert gate.tolist() == [False, False, True, True]
+    row = estimate_outputs(_window(2.0), CFG.initial_params, CFG)
+    assert row.alpha_f is None and row.alpha_r is None
 
 
 def test_static_vertical_load():
-    Fzf, _ = vertical_loads(_x(0.0), _u(), EX)
+    Fzf, _ = vertical_loads(0.0, 0.0, EX)
     assert Fzf == pytest.approx(3678.75)
 
 
 def test_vertical_load_brake_transfer():
-    Fzf, _ = vertical_loads(_x(0.0), _u(ax=-10.0), EX)
+    Fzf, _ = vertical_loads(0.0, -10.0, EX)
     assert Fzf == pytest.approx(3678.75 + 750.0)
 
 
 def test_vertical_load_sum_conserved():
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        vx, ax = rng.uniform(0, 70), rng.uniform(-20, 10)
-        Fzf, Fzr = vertical_loads(_x(vx), _u(ax=ax), EX)
-        aero = 0.5 * (EX.Czf + EX.Czr) * EX.rho * vx * vx * EX.A
-        assert Fzf + Fzr - EX.m * EX.g - aero == pytest.approx(0.0, abs=1e-8)
+    vx, ax = rng.uniform(0, 70, 50), rng.uniform(-20, 10, 50)
+    Fzf, Fzr = vertical_loads(vx, ax, EX)
+    aero = 0.5 * (EX.Czf + EX.Czr) * EX.rho * vx * vx * EX.A
+    assert np.allclose(Fzf + Fzr - EX.m * EX.g - aero, 0.0, atol=1e-8)
 
 
 def test_vertical_load_domain_error():
-    with pytest.raises(LoadDomainError):
-        vertical_loads(_x(0.0), _u(ax=60.0), EX)
+    # a nonphysical load is no error: the output row leaves slip and
+    # force fields empty there
+    Fzf, _ = vertical_loads(10.0, 60.0, EX)
+    assert Fzf < 0.0
+    row = estimate_outputs(_window(10.0, ax=60.0, cfg=EX),
+                           EX.initial_params, EX)
+    assert row.alpha_f is None and row.Fyf is None and row.beta is None
+    row = estimate_outputs(_window(10.0, cfg=EX), EX.initial_params, EX)
+    assert row.alpha_f is not None and row.Fyf is not None
 
 
 P_EX = PacejkaAxleParams(10.0, 1.9, 1.0, 0.97, 0.0, 0.0)
 
 
 def test_magic_formula_zero_at_origin():
-    assert magic_formula(0.0, P_EX) == 0.0
+    assert magic_formula_values(0.0, P_EX.as_array()) == 0.0
 
 
 def test_magic_formula_shift_identity():
     p = PacejkaAxleParams(8.0, 1.5, 0.9, 0.3, 0.04, 0.12)
-    assert magic_formula(-p.Sh, p) == pytest.approx(p.Sv)
+    assert magic_formula_values(-p.Sh, p.as_array()) == pytest.approx(p.Sv)
 
 
 def test_magic_formula_pinned_value():
     # independent high-precision evaluation, frozen before the build
-    assert magic_formula(0.08, P_EX) == pytest.approx(
+    assert magic_formula_values(0.08, P_EX.as_array()) == pytest.approx(
         0.9055539862080681, abs=1e-14)
 
 
 def test_magic_formula_odd_symmetry():
     rng = np.random.default_rng(8)
     for _ in range(200):
-        p = PacejkaAxleParams(rng.uniform(2, 30), rng.uniform(0.6, 3),
-                              rng.uniform(0.5, 3), rng.uniform(-3, 0.9),
-                              0.0, 0.0)
+        p6 = np.array([rng.uniform(2, 30), rng.uniform(0.6, 3),
+                       rng.uniform(0.5, 3), rng.uniform(-3, 0.9), 0.0, 0.0])
         x = rng.uniform(-0.5, 0.5)
-        assert magic_formula(-x, p) == pytest.approx(-magic_formula(x, p),
-                                                     abs=1e-12)
+        assert magic_formula_values(-x, p6) == pytest.approx(
+            -magic_formula_values(x, p6), abs=1e-12)
 
 
 def test_small_angle_slope_is_bcd():
@@ -108,8 +131,9 @@ def test_small_angle_slope_is_bcd():
                               rng.uniform(0.5, 3), rng.uniform(-3, 0.9),
                               rng.uniform(-0.05, 0.05), 0.0)
         h = 1e-7
-        slope = (magic_formula(-p.Sh + h, p)
-                 - magic_formula(-p.Sh - h, p)) / (2 * h)
+        y = magic_formula_values(np.array([-p.Sh + h, -p.Sh - h]),
+                                 p.as_array())
+        slope = (y[0] - y[1]) / (2 * h)
         bcd = cornering_stiffness(p)
         assert slope == pytest.approx(bcd, rel=1e-6)
 
@@ -122,8 +146,7 @@ def test_magic_formula_derivs_match_fd():
                        rng.uniform(-0.05, 0.05), rng.uniform(-0.3, 0.3)])
         s = rng.uniform(-0.3, 0.3)
         Y, dY_ds, dY_dp = magic_formula_derivs(s, p6)
-        assert Y == pytest.approx(
-            magic_formula(s, PacejkaAxleParams(*p6)), abs=1e-12)
+        assert Y == pytest.approx(magic_formula_values(s, p6), abs=1e-12)
         h = 1e-7
         fd_s = (magic_formula_values(s + h, p6)
                 - magic_formula_values(s - h, p6)) / (2 * h)
@@ -141,20 +164,20 @@ def test_magic_formula_derivs_match_fd():
 def test_model_forces_zero_slip():
     P = TireParamSet(PacejkaAxleParams(10, 1.9, 1.0, 0.5, 0.0, 0.0),
                      PacejkaAxleParams(12, 1.7, 1.0, 0.5, 0.0, 0.0))
-    Fyf, Fyr = model_lateral_forces(_x(50.0), _u(), P, CFG)
+    Fyf, Fyr = model_lateral_forces(_x(50.0), 0.0, 0.0, P.as_array(), CFG)
     assert Fyf == pytest.approx(0.0)
     assert Fyr == pytest.approx(0.0)
 
 
 def test_model_forces_scale_with_load():
-    P = TireParamSet(P_EX, P_EX)
-    x = _x(20.0, vy=0.5, r=0.1)
+    P = TireParamSet(P_EX, P_EX).as_array()
+    X = np.stack([_x(20.0, vy=0.5, r=0.1), _x(25.0, vy=-0.3, r=0.05)])
     doubled = default_config()
     doubled.m = 2 * CFG.m
     doubled.Czf = 2 * CFG.Czf
     doubled.Czr = 2 * CFG.Czr
-    f1 = model_lateral_forces(x, _u(), P, CFG)
-    f2 = model_lateral_forces(x, _u(), P, doubled)
+    f1 = model_lateral_forces(X, 0.0, 0.0, P, CFG)
+    f2 = model_lateral_forces(X, 0.0, 0.0, P, doubled)
     assert f2[0] == pytest.approx(2 * f1[0])
     assert f2[1] == pytest.approx(2 * f1[1])
 
@@ -176,19 +199,24 @@ def test_measured_forces_continuous_at_zero_delta():
 
 
 def test_measured_forces_steering_domain():
-    with pytest.raises(SteeringDomainError):
-        measured_lateral_forces(10.0, math.radians(85.0), EX)
+    # the split divides by cos(delta): the one force gate stops well short
+    delta = np.radians([0.0, 30.0, 85.0, -85.0])
+    assert force_gate(30.0, 0.0, delta, EX).tolist() == [
+        True, True, False, False]
+    assert len(WindowProblem(_window(30.0, delta=math.radians(85.0),
+                                     cfg=EX),
+                             EX.initial_params.as_array(), EX).fy_idx) == 0
 
 
 def test_residual_zero_when_consistent():
     # build a state/param pair whose model force equals the static split
-    P = TireParamSet(P_EX, P_EX)
+    P = TireParamSet(P_EX, P_EX).as_array()
     x = _x(30.0, vy=-0.5, r=0.15)
-    Fyf, Fyr = model_lateral_forces(x, _u(), P, CFG)
+    Fyf, Fyr = model_lateral_forces(x, 0.0, 0.0, P, CFG)
     ay = (Fyf + Fyr) / CFG.m
     # solve the split for the ay that reproduces both axles is overdetermined;
     # check instead that the residual equals the whitened mismatch exactly
-    res = lateral_force_residual(x, _u(ay=ay), P, CFG)
+    res = _residual(x, ay, P, CFG)
     w = 1.0 / np.sqrt(CFG.covariances.Sigma_Fy)
     wb = CFG.lf + CFG.lr
     exp_f = (CFG.lr / wb * CFG.m * ay - Fyf) * w[0]
@@ -198,22 +226,27 @@ def test_residual_zero_when_consistent():
 
 
 def test_residual_gated_out():
-    P = TireParamSet(P_EX, P_EX)
-    assert lateral_force_residual(_x(3.0), _u(ay=1.0), P, CFG) is None
+    # below the speed gate the window carries no lateral-force rows
+    problem = WindowProblem(_window(3.0, ay=1.0),
+                            CFG.initial_params.as_array(), CFG)
+    assert len(problem.fy_idx) == 0
+    assert problem.slices["lateral_force"].stop \
+        == problem.slices["lateral_force"].start
+    problem = WindowProblem(_window(30.0, ay=1.0),
+                            CFG.initial_params.as_array(), CFG)
+    assert problem.fy_idx.tolist() == [0, 1]
 
 
 def test_residual_sign_under_d_inflation():
     # inflating front D at a positive-curve-value state lowers the residual
-    P = TireParamSet(P_EX, P_EX)
+    P = TireParamSet(P_EX, P_EX).as_array()
     x = _x(30.0, vy=-1.5, r=0.0)  # force_slip(alpha_f) > 0 so Y > 0
-    assert magic_formula(force_slip(slip_angles(x, 0.0, CFG)[0]),
-                         P.front) > 0
-    u = _u(ay=2.0)
-    base = lateral_force_residual(x, u, P, CFG)
-    inflated = TireParamSet(
-        PacejkaAxleParams(P_EX.B, P_EX.C, P_EX.D * 1.1, P_EX.E, 0.0, 0.0),
-        P_EX)
-    bumped = lateral_force_residual(x, u, inflated, CFG)
+    assert magic_formula_values(
+        force_slip(slip_angles(30.0, -1.5, 0.0, 0.0, CFG)[0]), P[:6]) > 0
+    base = _residual(x, 2.0, P, CFG)
+    inflated = P.copy()
+    inflated[2] *= 1.1
+    bumped = _residual(x, 2.0, inflated, CFG)
     assert bumped[0] < base[0]
 
 

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from radgrip.core import ImuSample, InsufficientDataError, VehicleState, \
-    default_config
+from radgrip.core import (ImuSample, InsufficientDataError, RadarPoint,
+                          RadarScan, default_config)
+from radgrip.mhe import Estimator
 from radgrip.zupt import (AttitudeEstimate, INITIAL_STANDSTILL,
-                          StandstillStatus, accel_magnitude_deviation,
-                          estimate_attitude, gravity_compensate,
-                          level_attitude, update_standstill, zv_residual)
+                          accel_magnitude_deviation, estimate_attitude,
+                          gravity_compensate, level_attitude,
+                          update_standstill, zv_residual)
 
 CFG = default_config()
 G = CFG.g
@@ -99,10 +100,52 @@ def test_gravity_compensate_level():
 
 
 def test_gravity_compensate_subtraction():
+    # a resting accelerometer reads -gravity_body, so adding gravity_body
+    # removes gravity: 0.9 + 0.855 and -0.25 + (-0.3)
     att = AttitudeEstimate(np.eye(3), np.array([0.855, -0.3, -G]))
     ax_t, ay_t = gravity_compensate(0.9, -0.25, att)
-    assert ax_t == pytest.approx(0.045)
-    assert ay_t == pytest.approx(0.05)
+    assert ax_t == pytest.approx(1.755)
+    assert ay_t == pytest.approx(-0.55)
+    # the reading of that resting, bias-free accelerometer compensates to 0
+    ax_t, ay_t = gravity_compensate(-0.855, 0.3, att)
+    assert ax_t == pytest.approx(0.0, abs=1e-12)
+    assert ay_t == pytest.approx(0.0, abs=1e-12)
+
+
+def _pitched_rest_events(pitch, roll, br, duration=1.3):
+    """IMU at rest tilted by pitch/roll with gyro bias br (accel biases
+    zero) plus radar scans of static points seen from rest."""
+    g_b = G * np.array([-math.sin(pitch),
+                        math.cos(pitch) * math.sin(roll),
+                        math.cos(pitch) * math.cos(roll)])
+    events = []
+    for k in range(int(duration * 200) + 1):
+        t = k / 200.0
+        events.append(ImuSample(t, g_b[0], g_b[1], br, az=g_b[2],
+                                gx=0.0, gy=0.0))
+    for k in range(int(duration / 0.02)):
+        t = 0.003 + 0.02 * k
+        pts = tuple(RadarPoint(10.0, az, 0.0, 0.0, 25.0)
+                    for az in np.linspace(-0.5, 0.5, 8))
+        events.append(RadarScan(0, t, t + 0.001, pts))
+    events.sort(key=lambda e: e.t_receive if isinstance(e, RadarScan)
+                else e.t)
+    return events
+
+
+def test_zupt_targets_on_pitched_rest_equal_biases():
+    # a static accelerometer cannot tell an accel bias from tilt, so the
+    # accel biases here are zero; the gyro bias is read directly
+    cfg = default_config()
+    cfg.assume_level_standstill = False
+    br = 0.004
+    est = Estimator(cfg)
+    for ev in _pitched_rest_events(math.radians(5.0), math.radians(-2.0),
+                                   br):
+        est.process_event(ev)
+    targets = np.array([s.zv for s in est.window.states if s.zv is not None])
+    assert est.counters["zv_states"] > 0 and len(targets)
+    assert np.allclose(targets, [0.0, 0.0, br], rtol=0.0, atol=2e-3)
 
 
 def test_gravity_compensate_linear():
@@ -114,21 +157,21 @@ def test_gravity_compensate_linear():
 
 
 def test_zv_residual_exact_fit():
-    x = VehicleState(0.0, 0.0, 0.0, 0.0, 0.05, -0.02, 0.003)
-    res = zv_residual(x, 0.05, -0.02, 0.003, np.ones(6))
+    X = np.array([[0.0, 0.0, 0.0, 0.05, -0.02, 0.003]])
+    res = zv_residual(X, np.array([[0.05, -0.02, 0.003]]), np.ones(6))
     assert np.allclose(res, 0.0)
 
 
 def test_zv_residual_bias_component():
-    x = VehicleState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    res = zv_residual(x, 0.05, 0.0, 0.0, np.ones(6))
-    assert res[3] == pytest.approx(-0.05)
+    res = zv_residual(np.zeros((1, 6)), np.array([[0.05, 0.0, 0.0]]),
+                      np.ones(6))
+    assert res[0, 3] == pytest.approx(-0.05)
 
 
 def test_zv_residual_velocity_component():
-    x = VehicleState(0.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0)
-    res = zv_residual(x, 0.0, 0.0, 0.0, np.ones(6))
-    assert res[0] == pytest.approx(0.2)
+    X = np.array([[0.2, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    res = zv_residual(X, np.zeros((1, 3)), np.ones(6))
+    assert res[0, 0] == pytest.approx(0.2)
 
 
 def test_accel_magnitude_deviation():

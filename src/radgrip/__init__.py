@@ -5,7 +5,6 @@ and a replay CLI for closed-loop validation."""
 
 from radgrip.core import (
     VehicleConfig,
-    VehicleState,
     InputSample,
     PacejkaAxleParams,
     TireParamSet,
@@ -26,7 +25,6 @@ from radgrip.mhe import Estimator, SlidingWindow, SolveReport
 
 __all__ = [
     "VehicleConfig",
-    "VehicleState",
     "InputSample",
     "PacejkaAxleParams",
     "TireParamSet",

@@ -53,10 +53,6 @@ class InsufficientDataError(EstimatorError):
     """Not enough samples to run the requested computation."""
 
 
-class AliasDomainError(EstimatorError):
-    """A measured Doppler value lies outside the sensor's Nyquist band."""
-
-
 class StaleScanError(EstimatorError):
     """A radar scan was captured before the current window begins."""
 
@@ -84,31 +80,6 @@ class AlignmentError(EstimatorError):
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VehicleState:
-    """Planar vehicle state plus IMU biases at one timestamp.
-
-    vx, vy are body-frame velocities (m/s), r the yaw rate (rad/s); bx, by
-    are accelerometer biases (m/s^2) and br the yaw-rate gyro bias (rad/s).
-    """
-
-    t: float
-    vx: float
-    vy: float
-    r: float
-    bx: float
-    by: float
-    br: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.vx, self.vy, self.r, self.bx, self.by, self.br])
-
-    @staticmethod
-    def from_array(t: float, a) -> "VehicleState":
-        return VehicleState(t, float(a[0]), float(a[1]), float(a[2]),
-                            float(a[3]), float(a[4]), float(a[5]))
-
 
 @dataclass(frozen=True)
 class InputSample:

@@ -1,11 +1,14 @@
 """Sliding-window problem assembly and the bounded nonlinear least-squares
 solver that jointly refines vehicle states and tire parameters.
 
-States enter the window every dt (10 ms default); radar scans bind Doppler
-factors to a state at their capture time, inserting one back in time when
-the capture instant falls between grid states.  The full problem is solved
-when a scan contributes at least one gated-in factor, after which the
-window shifts and priors are refreshed from the newest estimates.
+The window is held as arrays, one row per state, oldest first: times t,
+estimates X, inputs U, a grid flag and ZUPT targets zv (NaN where a state
+has none), plus one row per accepted Doppler observation in dop.  States
+enter every dt (10 ms default); a radar scan binds its Doppler rows to the
+state at its capture time, inserting one back in time when the capture
+instant falls between grid states.  The full problem is solved when a scan
+contributes at least one gated-in row, after which the window sheds its
+oldest rows and priors are refreshed from the newest estimates.
 
 The solver is a small Levenberg-Marquardt on the dense window problem: it
 builds the full Jacobian (a block-tridiagonal state chain plus one dense
@@ -17,7 +20,6 @@ everything else is quadratic.
 
 from __future__ import annotations
 
-import bisect
 import gc
 import math
 import time
@@ -37,117 +39,129 @@ from radgrip.core import (EstimatorError, ImuSample, InputSample,
 from radgrip.motion import predict_array
 
 _T_EPS = 1e-9
+_NO_ZV = (np.nan, np.nan, np.nan)
 
 
 # ---------------------------------------------------------------------------
 # Window
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WindowState:
-    t: float
-    x: np.ndarray            # [vx, vy, r, bx, by, br] current estimate
-    u: InputSample           # input governing [t, next.t) and models at t
-    grid: bool               # True for 10 ms grid states (output rows)
-    zv: tuple | None = None  # (ax_tilde, ay_tilde, r_meas) while stationary
-
-
 class SlidingWindow:
-    """Time-ordered states with attached measurements and priors."""
+    """Time-ordered states with attached measurements and priors.
+
+    State k is row k of
+      t (K,)     time,
+      X (K, 6)   current estimate [vx, vy, r, bx, by, br],
+      U (K, 4)   inputs [ax, ay, r, delta] governing [t_k, t_k+1) and the
+                 models at t_k,
+      grid (K,)  True for 10 ms grid states (output rows), False for states
+                 inserted at a scan's capture time,
+      zv (K, 3)  ZUPT targets (ax_tilde, ay_tilde, r_meas), NaN where none.
+    Each accepted Doppler observation is one row [t_state, v_r, cx, cy,
+    lever] of dop (M, 5), bound to the state at t_state; its expected value
+    is -(cx*vx + cy*vy + lever*r) and its deviation the configured
+    sigma_doppler.  Rows are added by concatenation, so every array is
+    replaced, never resized, when the window grows.
+    """
 
     def __init__(self, cfg: VehicleConfig):
         self.cfg = cfg
-        self.states: list[WindowState] = []
-        self.doppler: list[radar_mod.DopplerFactor] = []
+        self.t = np.empty(0)
+        self.X = np.empty((0, 6))
+        self.U = np.empty((0, 4))
+        self.grid = np.empty(0, dtype=bool)
+        self.zv = np.empty((0, 3))
+        self.dop = np.empty((0, 5))
         self.prior_x: np.ndarray | None = None
         self.prior_P: np.ndarray = np.clip(
             cfg.initial_params.as_array(),
             cfg.bounds.full_min(), cfg.bounds.full_max())
-        self.input_lookup = None  # optional t -> InputSample
 
     def oldest_t(self) -> float:
-        return self.states[0].t
+        return self.t[0]
 
     def newest_t(self) -> float:
-        return self.states[-1].t
+        return self.t[-1]
 
     def span(self) -> float:
-        return self.states[-1].t - self.states[0].t if self.states else 0.0
+        return self.t[-1] - self.t[0] if len(self.t) else 0.0
 
-    def seed(self, t: float, u: InputSample) -> WindowState:
+    def _states(self):
+        return self.t, self.X, self.U, self.grid, self.zv
+
+    def _keep(self, rows: slice) -> None:
+        self.t, self.X, self.U, self.grid, self.zv = (
+            a[rows] for a in self._states())
+
+    def _insert(self, i: int, t: float, x: np.ndarray, u: InputSample,
+                grid: bool) -> None:
+        """Insert one state before row i (i = K appends)."""
+        row = (t, x, (u.ax_meas, u.ay_meas, u.r_meas, u.delta), grid, _NO_ZV)
+        self.t, self.X, self.U, self.grid, self.zv = (
+            np.concatenate((a[:i], [v], a[i:]))
+            for a, v in zip(self._states(), row))
+
+    def seed(self, t: float, u: InputSample) -> None:
+        """Restart the window with one grid state at the initial biases."""
         x0 = np.zeros(6)
         x0[3:6] = self.cfg.initial_biases
-        ws = WindowState(t, x0, u, grid=True)
-        self.states = [ws]
+        self._keep(slice(0))
+        self._insert(0, t, x0, u, True)
         self.prior_x = x0.copy()
-        return ws
 
-    def push_state(self, t: float, u: InputSample) -> WindowState:
+    def _predict(self, t: float) -> np.ndarray:
+        """The newest state propagated to t under its own input."""
+        u = self.U[-1]
+        return predict_array(self.X[-1], u[0], u[1], u[2], t - self.t[-1])
+
+    def push_state(self, t: float, u: InputSample) -> None:
         """Append a grid state predicted from the newest one."""
-        if not self.states:
-            return self.seed(t, u)
-        newest = self.states[-1]
-        dt = t - newest.t
-        if dt <= _T_EPS:
+        if not len(self.t):
+            self.seed(t, u)
+            return
+        if t - self.t[-1] <= _T_EPS:
             raise WindowOrderError(
-                f"push at t={t} does not advance newest={newest.t}")
-        nu = newest.u
-        x = predict_array(newest.x, nu.ax_meas, nu.ay_meas, nu.r_meas, dt)
-        ws = WindowState(t, x, u, grid=True)
-        self.states.append(ws)
-        return ws
+                f"push at t={t} does not advance newest={self.t[-1]}")
+        self._insert(len(self.t), t, self._predict(t), u, True)
 
-    def _input_at(self, t: float) -> InputSample:
-        if self.input_lookup is not None:
-            u = self.input_lookup(t)
-            if u is not None:
-                return u
-        idx = bisect.bisect_right([s.t for s in self.states], t) - 1
-        return self.states[max(idx, 0)].u
-
-    def ensure_state_at(self, t: float) -> np.ndarray:
-        """Current estimate of the state at time t, inserting one if needed.
+    def ensure_state_at(self, t: float, u: InputSample) -> np.ndarray:
+        """Current estimate of the state at time t, inserting one with input
+        u if needed.
 
         An inserted state is initialized by linear interpolation of its
         neighbours (or prediction when beyond the newest state); process
-        residuals re-link across the split automatically.
+        residuals re-link across the split automatically.  Raises
+        StaleScanError when t predates the window.
         """
-        times = [s.t for s in self.states]
-        i = bisect.bisect_left(times, t - _T_EPS)
-        if i < len(times) and abs(times[i] - t) <= _T_EPS:
-            return self.states[i].x
-        if t < times[0]:
-            raise StaleScanError(f"state request at {t} predates window")
-        u = self._input_at(t)
-        if t > times[-1]:
-            newest = self.states[-1]
-            nu = newest.u
-            x = predict_array(newest.x, nu.ax_meas, nu.ay_meas, nu.r_meas,
-                              t - newest.t)
-            ws = WindowState(t, x, u, grid=False)
-            self.states.append(ws)
-            return ws.x
-        lo, hi = self.states[i - 1], self.states[i]
-        w = (t - lo.t) / (hi.t - lo.t)
-        x = (1.0 - w) * lo.x + w * hi.x
-        ws = WindowState(t, x, u, grid=False)
-        self.states.insert(i, ws)
-        return ws.x
+        if t < self.t[0] - _T_EPS:
+            raise StaleScanError(
+                f"state request at {t:.4f} predates window start "
+                f"{self.t[0]:.4f}")
+        i = int(np.searchsorted(self.t, t - _T_EPS))
+        if i < len(self.t) and abs(self.t[i] - t) <= _T_EPS:
+            return self.X[i]
+        if i == len(self.t):
+            x = self._predict(t)
+        else:
+            w = (t - self.t[i - 1]) / (self.t[i] - self.t[i - 1])
+            x = (1.0 - w) * self.X[i - 1] + w * self.X[i]
+        self._insert(i, t, x, u, False)
+        return x
 
-    def shift(self, P_new: np.ndarray) -> list[WindowState]:
+    def shift(self, P_new: np.ndarray):
         """Evict states until the span fits the horizon, refresh priors.
 
-        Returns the evicted states (oldest first).
+        Returns (t, X, U) of the evicted grid states, oldest first.
         """
-        evicted = []
-        dTw = self.cfg.thresholds.dTw
-        while len(self.states) > 1 and self.span() > dTw + _T_EPS:
-            evicted.append(self.states.pop(0))
-        if evicted:
-            t0 = self.oldest_t()
-            self.doppler = [f for f in self.doppler
-                            if f.state_timestamp >= t0 - _T_EPS]
-        self.prior_x = self.states[0].x.copy()
+        # t is sorted, so the states beyond the horizon form a prefix
+        n = int(np.count_nonzero(
+            self.t[-1] - self.t > self.cfg.thresholds.dTw + _T_EPS))
+        g = self.grid[:n]
+        evicted = self.t[:n][g], self.X[:n][g], self.U[:n][g]
+        if n:
+            self._keep(slice(n, None))
+            self.dop = self.dop[self.dop[:, 0] >= self.t[0] - _T_EPS]
+        self.prior_x = self.X[0].copy()
         self.prior_P = np.asarray(P_new, dtype=float).copy()
         return evicted
 
@@ -191,19 +205,15 @@ class WindowProblem:
                  cfg: VehicleConfig):
         th, cov = cfg.thresholds, cfg.covariances
         self.cfg = cfg
-        states = window.states
-        K = self.K = len(states)
-        self.t = np.array([s.t for s in states])
-        self.X_init = np.stack([s.x for s in states])
+        K = self.K = len(window.t)
+        self.t = window.t
+        self.X_init = window.X
         self.P_lo = cfg.bounds.full_min()
         self.P_hi = cfg.bounds.full_max()
         self.P_init = np.clip(np.asarray(P_init, dtype=float),
                               self.P_lo, self.P_hi)
         self.dt = np.diff(self.t)
-        self.u_ax = np.array([s.u.ax_meas for s in states])
-        self.u_ay = np.array([s.u.ay_meas for s in states])
-        self.u_r = np.array([s.u.r_meas for s in states])
-        self.u_delta = np.array([s.u.delta for s in states])
+        self.u_ax, self.u_ay, self.u_r, self.u_delta = window.U.T
 
         self.prior_x = window.prior_x.copy()
         self.prior_P = np.clip(window.prior_P, self.P_lo, self.P_hi)
@@ -214,30 +224,25 @@ class WindowProblem:
         self.w_zv = 1.0 / np.sqrt(cov.Sigma_zv)
         self.w_fy = 1.0 / np.sqrt(cov.Sigma_Fy)
 
-        self.zv_idx = np.array([k for k, s in enumerate(states)
-                                if s.zv is not None], dtype=int)
-        self.zv = np.array([s.zv for s in states
-                            if s.zv is not None]).reshape(-1, 3)
+        self.zv_idx = np.flatnonzero(~np.isnan(window.zv[:, 0]))
+        self.zv = window.zv[self.zv_idx]
 
         # lateral-force rows: gate on the entry estimates, fixed per solve
         self.fy_idx = np.flatnonzero(tire.force_gate(
-            self.X_init[:, 0], self.X_init[:, 1], self.u_delta, cfg))
+            self.X_init[:, 0], self.X_init[:, 1], self.u_ax, self.u_delta,
+            cfg))
         self.fy_ax = self.u_ax[self.fy_idx]
         self.fy_delta = self.u_delta[self.fy_idx]
         self.fy_meas = np.stack(tire.measured_lateral_forces(
             self.u_ay[self.fy_idx], self.fy_delta, cfg), axis=1)
 
-        facs = window.doppler
-        self.dop_idx = np.searchsorted(
-            self.t, np.array([f.state_timestamp for f in facs]) - _T_EPS)
-        self.dop_cx = np.array([f.cx for f in facs])
-        self.dop_cy = np.array([f.cy for f in facs])
-        self.dop_lever = np.array([f.lever for f in facs])
-        self.dop_vr = np.array([f.v_r for f in facs])
-        self.dop_w = 1.0 / np.array([f.sigma for f in facs])
+        dop = window.dop
+        self.dop_idx = np.searchsorted(self.t, dop[:, 0] - _T_EPS)
+        self.dop_vr, self.dop_cx, self.dop_cy, self.dop_lever = dop[:, 1:].T
+        self.dop_w = 1.0 / cov.sigma_doppler
 
         self.cauchy = cfg.solver.cauchy_scale
-        n_zv, n_fy, n_dop = len(self.zv_idx), len(self.fy_idx), len(facs)
+        n_zv, n_fy, n_dop = len(self.zv_idx), len(self.fy_idx), len(dop)
         sizes = {
             "prior_state": 6,
             "prior_params": 12,
@@ -440,20 +445,17 @@ def solve_problem(problem: WindowProblem, settings: SolverCfg,
 def solve(window: SlidingWindow, P_current: np.ndarray | TireParamSet,
           settings: SolverCfg, cfg: VehicleConfig,
           lam: float | None = None
-          ) -> tuple[list[WindowState], np.ndarray, SolveReport]:
-    """Solve the window in place; states and returned P are the refined
-    estimates."""
+          ) -> tuple[np.ndarray, SolveReport, float]:
+    """Solve the window in place: window.X becomes the refined states.
+    Returns (P, report, damping) with P the refined tire parameters and
+    the damping to warm-start the next solve."""
     if isinstance(P_current, TireParamSet):
         P_current = P_current.as_array()
     problem = WindowProblem(window, P_current, cfg)
     z, report, lam_out = solve_problem(problem, settings, lam)
-    K = len(window.states)
-    X = z[:6 * K].reshape(K, 6)
-    for k, s in enumerate(window.states):
-        s.x = X[k].copy()
-    P_new = z[6 * K:].copy()
-    report._lam = lam_out
-    return window.states, P_new, report
+    K = problem.K
+    window.X = z[:6 * K].reshape(K, 6).copy()
+    return z[6 * K:].copy(), report, lam_out
 
 
 # ---------------------------------------------------------------------------
@@ -485,23 +487,23 @@ def estimate_outputs(window: SlidingWindow, P: np.ndarray | TireParamSet,
     nonphysical (non-positive) vertical load."""
     if isinstance(P, TireParamSet):
         P = P.as_array()
-    ws = window.states[index]
-    return _output_row(ws, P, cfg)
+    return _output_row(window.t[index], window.X[index], window.U[index], P,
+                       cfg)
 
 
-def _output_row(ws: WindowState, P: np.ndarray, cfg: VehicleConfig
-                ) -> OutputRow:
-    x, u = ws.x, ws.u
+def _output_row(t: float, x: np.ndarray, u: np.ndarray, P: np.ndarray,
+                cfg: VehicleConfig) -> OutputRow:
+    """Output row of state x at time t with inputs u = [ax, ay, r, delta]."""
+    ax_meas, delta = u[0], u[3]
     pset = TireParamSet.from_array(P)
     alpha_f = alpha_r = fyf = fyr = beta = None
-    if (tire.force_gate(x[0], x[1], u.delta, cfg)
-            and min(tire.vertical_loads(x[0], u.ax_meas, cfg)) > 0.0):
+    if tire.force_gate(x[0], x[1], ax_meas, delta, cfg):
         alpha_f, alpha_r = (float(a) for a in tire.slip_angles(
-            x[0], x[1], x[2], u.delta, cfg))
+            x[0], x[1], x[2], delta, cfg))
         fyf, fyr = (float(f) for f in tire.model_lateral_forces(
-            x, u.ax_meas, u.delta, P, cfg))
+            x, ax_meas, delta, P, cfg))
         beta = math.atan(x[1] / x[0])
-    return OutputRow(ws.t, *(float(v) for v in x),
+    return OutputRow(float(t), *(float(v) for v in x),
                      alpha_f, alpha_r, fyf, fyr,
                      tire.cornering_stiffness(pset.front),
                      tire.cornering_stiffness(pset.rear), beta)
@@ -526,7 +528,6 @@ class Estimator:
         self.cfg = cfg
         self.settings = settings or cfg.solver
         self.window = SlidingWindow(cfg)
-        self.window.input_lookup = self._input_at
         P0 = (p_init or cfg.initial_params).as_array()
         self.P = np.clip(P0, cfg.bounds.full_min(), cfg.bounds.full_max())
         self.rows: list[OutputRow] = []
@@ -550,19 +551,13 @@ class Estimator:
 
     # -- input bookkeeping ------------------------------------------------
 
-    def _input_at(self, t: float) -> InputSample | None:
-        best = None
+    def _current_input(self, t: float) -> InputSample:
+        """The newest held input sample at or before t, else zero
+        accelerations and yaw rate with the latest steering angle."""
         for u in reversed(self._input_hist):
             if u.t <= t + _T_EPS:
-                best = u
-                break
-        return best
-
-    def _current_input(self, t: float) -> InputSample:
-        u = self._input_at(t)
-        if u is None:
-            return InputSample(t, 0.0, 0.0, 0.0, self._latest_delta)
-        return u
+                return u
+        return InputSample(t, 0.0, 0.0, 0.0, self._latest_delta)
 
     def _note_imu(self, ev: ImuSample) -> None:
         self.counters["imu"] += 1
@@ -589,8 +584,8 @@ class Estimator:
     # -- standstill / attitude --------------------------------------------
 
     def _update_standstill(self, ev: ImuSample) -> None:
-        if self._have_fix and self.window.states:
-            x = self.window.states[-1].x
+        if self._have_fix and len(self.window.t):
+            x = self.window.X[-1]
             speed = math.hypot(x[0], x[1])
         else:
             speed = self._speed_proxy
@@ -622,7 +617,7 @@ class Estimator:
     def attach(self, ev) -> bool:
         """Route one event into the window; True when a solve is due."""
         t_ev = event_time(ev)
-        if not self.window.states:
+        if not len(self.window.t):
             self.window.seed(t_ev, self._current_input(t_ev))
             self._next_grid_t = t_ev + self.cfg.thresholds.dt
             self._last_solve_t = t_ev
@@ -648,35 +643,39 @@ class Estimator:
         dt = self.cfg.thresholds.dt
         while self._next_grid_t is not None and self._next_grid_t <= t + _T_EPS:
             tg = self._next_grid_t
-            ws = self.window.push_state(tg, self._current_input(tg))
+            u = self._current_input(tg)
+            self.window.push_state(tg, u)
             if self._standstill.stationary and self.attitude is not None:
                 ax_t, ay_t = zupt.gravity_compensate(
-                    ws.u.ax_meas, ws.u.ay_meas, self.attitude)
-                ws.zv = (ax_t, ay_t, ws.u.r_meas)
+                    u.ax_meas, u.ay_meas, self.attitude)
+                self.window.zv[-1] = (ax_t, ay_t, u.r_meas)
                 self.counters["zv_states"] += 1
             self._next_grid_t = tg + dt
             if (tg - self._last_solve_t
                     >= self.cfg.thresholds.watchdog_period - _T_EPS
-                    and len(self.window.states) >= 2):
+                    and len(self.window.t) >= 2):
                 self._solve_and_shift(tg, "watchdog")
 
     def _attach_scan(self, scan: RadarScan) -> bool:
         self.counters["scans"] += 1
+        t_cap = scan.t_capture
         try:
-            factors = radar_mod.scan_to_factors(scan, self.window, self.cfg)
+            x_cap = self.window.ensure_state_at(t_cap,
+                                                self._current_input(t_cap))
         except StaleScanError:
             self.counters["stale_scans"] += 1
             return False
-        self.window.doppler.extend(factors)
-        self.counters["doppler_accepted"] += len(factors)
-        self.counters["doppler_rejected"] += len(scan.points) - len(factors)
+        rows = radar_mod.scan_to_factors(scan, x_cap, self.cfg)
+        self.window.dop = np.concatenate((self.window.dop, rows))
+        self.counters["doppler_accepted"] += len(rows)
+        self.counters["doppler_rejected"] += len(scan.points) - len(rows)
         if not self._have_fix:
             ls = radar_mod.ego_velocity_ls(
                 scan, self.cfg.radars[scan.radar_id],
                 self.cfg.thresholds.snr_min)
             if ls is not None:
                 self._speed_proxy = math.hypot(ls[0], ls[1])
-        return bool(factors)
+        return bool(len(rows))
 
     def process_event(self, ev) -> None:
         try:
@@ -688,28 +687,26 @@ class Estimator:
             self._have_fix = True
 
     def _solve_and_shift(self, t: float, trigger: str) -> None:
-        _, P_new, report = solve(self.window, self.P, self.settings,
-                                 self.cfg, self._lam)
-        self._lam = report._lam
-        self.P = P_new
+        self.P, report, self._lam = solve(self.window, self.P, self.settings,
+                                          self.cfg, self._lam)
         report.t = t
         report.trigger = trigger
         self.reports.append(report)
         self.counters["solves"] += 1
         if trigger == "watchdog":
             self.counters["watchdog_solves"] += 1
-        for ws in self.window.shift(P_new):
-            if ws.grid:
-                self.rows.append(_output_row(ws, self.P, self.cfg))
+        self._emit(*self.window.shift(self.P))
         self._last_solve_t = t
+
+    def _emit(self, t, X, U) -> None:
+        for row in zip(t, X, U):
+            self.rows.append(_output_row(*row, self.P, self.cfg))
 
     def finalize(self) -> None:
         """Flush rows for grid states still inside the window."""
-        for ws in self.window.states:
-            if ws.grid:
-                self.rows.append(_output_row(ws, self.P, self.cfg))
-        self.window.states = []
-        self.window.doppler = []
+        w = self.window
+        self._emit(w.t[w.grid], w.X[w.grid], w.U[w.grid])
+        self.window = SlidingWindow(self.cfg)
 
     @property
     def zupt_used(self) -> bool:

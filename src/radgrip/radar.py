@@ -1,7 +1,7 @@
 """Radar Doppler processing: bearing geometry, expected Doppler from the
-vehicle state, de-aliasing against the Nyquist band, SNR and innovation
-gating, conversion of scans into robust scalar residual factors bound
-to time-matched window states, and the whitened Doppler residual with its
+vehicle state, de-aliasing against the Nyquist band, alias, SNR and
+innovation gating, conversion of scans into Doppler rows bound to the
+state at their capture time, and the whitened Doppler residual with its
 partials.
 
 The sign convention is v_d = -b . v_R: points ahead of a forward-moving
@@ -10,33 +10,14 @@ radar measure negative Doppler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from radgrip.core import (AliasDomainError, RadarExtrinsics, RadarScan,
-                          SchemaError, StaleScanError, VehicleConfig)
+from radgrip.core import (RadarExtrinsics, RadarScan, SchemaError,
+                          VehicleConfig)
 
+REJECT_ALIAS = "Alias"
 REJECT_LOW_SNR = "LowSNR"
 REJECT_INNOVATION = "Innovation"
-
-
-@dataclass
-class DopplerFactor:
-    """One de-aliased Doppler observation bound to a window state.
-
-    cx, cy, lever are the body-frame projection terms of its bearing used
-    by the solver: v_e = -(cx*vx + cy*vy + lever*r).
-    """
-
-    state_timestamp: float
-    v_r: float
-    sigma: float
-    radar_id: int
-    n_wraps: int
-    cx: float
-    cy: float
-    lever: float
 
 
 def bearing_vectors(azimuth, elevation) -> np.ndarray:
@@ -67,24 +48,25 @@ def dealias(v_d, v_e, V_N: float):
     """Recover the true Doppler from wrapped measurements using the
     predicted values: n = nint((v_e - v_d) / (2 V_N)), v_r = v_d + 2 n V_N.
 
-    nint ties (exact .5) resolve half-to-even.  Returns (v_r, n); raises
-    AliasDomainError if a measurement violates |v_d| <= V_N.
+    nint ties (exact .5) resolve half-to-even.  Returns (v_r, n); v_r is
+    NaN where a measurement violates |v_d| <= V_N.
     """
     v_d = np.asarray(v_d, dtype=float)
-    if np.any(np.abs(v_d) > V_N * (1.0 + 1e-12)):
-        worst = float(np.abs(v_d).max())
-        raise AliasDomainError(f"|v_d|={worst:.3f} exceeds V_N={V_N}")
     n = np.rint((v_e - v_d) / (2.0 * V_N)).astype(int)
-    return v_d + 2.0 * n * V_N, n
+    in_band = np.abs(v_d) <= V_N * (1.0 + 1e-12)
+    return np.where(in_band, v_d + 2.0 * n * V_N, np.nan), n
 
 
 def gate_points(snr, v_e, v_r, cfg: VehicleConfig) -> np.ndarray:
-    """Rejection reason per point (REJECT_LOW_SNR before
-    REJECT_INNOVATION), None where the point is accepted."""
+    """Rejection reason per point (REJECT_ALIAS, for a NaN v_r from
+    dealias, before REJECT_LOW_SNR before REJECT_INNOVATION), None where
+    the point is accepted."""
     th = cfg.thresholds
+    v_r = np.asarray(v_r, dtype=float)
     reason = np.full(np.shape(snr), None, dtype=object)
-    reason[np.abs(np.asarray(v_r) - v_e) > th.dV_r_max] = REJECT_INNOVATION
+    reason[np.abs(v_r - v_e) > th.dV_r_max] = REJECT_INNOVATION
     reason[np.asarray(snr) < th.snr_min] = REJECT_LOW_SNR
+    reason[np.isnan(v_r)] = REJECT_ALIAS
     return reason
 
 
@@ -99,38 +81,30 @@ def doppler_jacobian(cx, cy, lever, w) -> np.ndarray:
     return np.stack([w * cx, w * cy, w * lever], axis=-1)
 
 
-def scan_to_factors(scan: RadarScan, window, cfg: VehicleConfig
-                    ) -> list[DopplerFactor]:
-    """Convert a scan into Doppler factors bound to a state at t_capture.
+def scan_to_factors(scan: RadarScan, x_cap: np.ndarray,
+                    cfg: VehicleConfig) -> np.ndarray:
+    """Doppler rows [t_capture, v_r, cx, cy, lever], shape (M, 5), of the
+    points of a scan that pass the gate.
 
-    Requests (and if needed inserts) a window state at the capture time,
-    predicts per-point Doppler there, de-aliases, gates, and emits one
-    factor per surviving point.  Raises StaleScanError when the capture
-    time predates the window.
+    Predicts per-point Doppler at x_cap, the state at the capture time,
+    de-aliases and gates; (cx, cy, lever) are the body-frame projection
+    terms of each bearing, v_e = -(cx*vx + cy*vy + lever*r).
     """
     if not (0 <= scan.radar_id < len(cfg.radars)):
         raise SchemaError(f"unknown radar_id {scan.radar_id}")
     ext = cfg.radars[scan.radar_id]
-    if scan.t_capture < window.oldest_t() - 1e-9:
-        raise StaleScanError(
-            f"scan captured at {scan.t_capture:.4f} predates window start "
-            f"{window.oldest_t():.4f}")
-    x_cap = window.ensure_state_at(scan.t_capture)
     if not scan.points:
-        return []
+        return np.empty((0, 5))
     pts = np.array([(p.azimuth, p.elevation, p.doppler, p.snr)
                     for p in scan.points])
     cx, cy, lever = body_projection(ext, bearing_vectors(pts[:, 0],
                                                          pts[:, 1]))
     v_e = expected_doppler(x_cap, cx, cy, lever)
-    v_r, n = dealias(pts[:, 2], v_e, ext.nyquist)
+    v_r, _ = dealias(pts[:, 2], v_e, ext.nyquist)
     accepted = np.equal(gate_points(pts[:, 3], v_e, v_r, cfg), None)
-    return [DopplerFactor(state_timestamp=scan.t_capture, v_r=float(v_r[i]),
-                          sigma=cfg.covariances.sigma_doppler,
-                          radar_id=scan.radar_id, n_wraps=int(n[i]),
-                          cx=float(cx[i]), cy=float(cy[i]),
-                          lever=float(lever[i]))
-            for i in np.flatnonzero(accepted)]
+    rows = np.stack((np.full(len(v_r), scan.t_capture), v_r, cx, cy, lever),
+                    axis=1)
+    return rows[accepted]
 
 
 def ego_velocity_ls(scan: RadarScan, ext: RadarExtrinsics,

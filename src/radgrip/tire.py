@@ -34,13 +34,16 @@ def vertical_loads(vx, ax_meas, cfg: VehicleConfig):
     return Fzf, Fzr
 
 
-def force_gate(vx, vy, delta, cfg: VehicleConfig):
+def force_gate(vx, vy, ax_meas, delta, cfg: VehicleConfig):
     """True where the lateral-force model applies: total speed above
     V_Fy_min, |vx| at least V_Fy_min (clear of the 1/vx singularity of the
-    slip angles) and cos(delta) above COS_DELTA_MIN."""
+    slip angles), cos(delta) above COS_DELTA_MIN and both vertical loads
+    positive (the model force Fz*Y and its partials change sign at
+    Fz <= 0)."""
     v_min = cfg.thresholds.V_Fy_min
+    Fzf, Fzr = vertical_loads(vx, ax_meas, cfg)
     return ((np.hypot(vx, vy) > v_min) & (np.abs(vx) >= v_min)
-            & (np.cos(delta) > COS_DELTA_MIN))
+            & (np.cos(delta) > COS_DELTA_MIN) & (Fzf > 0.0) & (Fzr > 0.0))
 
 
 def magic_formula_values(slip, p6):

@@ -1,0 +1,56 @@
+import json
+import os
+
+from radgrip import cli
+from radgrip.core import ImuSample, serialize_event
+
+
+def test_sim_estimate_metrics_round_trip(tmp_path):
+    out = str(tmp_path)
+    assert cli.main(["sim", "standstill", "--seed", "0", "--out", out]) == 0
+    log = os.path.join(out, "standstill_log.jsonl")
+    truth = os.path.join(out, "standstill_truth.csv")
+    with open(os.path.join(out, "standstill_manifest.json")) as fh:
+        manifest = json.load(fh)
+    assert manifest["log"] == os.path.basename(log)
+    assert manifest["truth"] == os.path.basename(truth)
+    with open(log) as fh:
+        assert sum(1 for _ in fh) == manifest["events"]
+
+    est_csv = os.path.join(out, "est.csv")
+    assert cli.main(["estimate", log, "--out", est_csv]) == 0
+    with open(est_csv + ".summary.json") as fh:
+        summary = json.load(fh)
+    with open(est_csv) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == cli.ESTIMATE_CSV_HEADER
+    assert len(lines) - 1 == summary["rows"] > 0
+    assert summary["solve_time"]["count"] == summary["counters"]["solves"]
+
+    metrics_json = os.path.join(out, "metrics.json")
+    assert cli.main(["metrics", est_csv, truth, "--json", metrics_json]) == 0
+    with open(metrics_json) as fh:
+        metrics = json.load(fh)
+    assert metrics["channels"]["vx"]["samples"] > 0
+    assert metrics["channels"]["vx"]["rmse"] < 0.05
+
+
+def test_usage_errors_exit_1(tmp_path):
+    assert cli.main(["sim", "no_such_scenario", "--out", str(tmp_path)]) == 1
+    assert cli.main(["bench", "unused.jsonl", "--repetitions", "0"]) == 1
+
+
+def test_missing_log_exits_2(tmp_path):
+    missing = os.path.join(str(tmp_path), "missing.jsonl")
+    out = os.path.join(str(tmp_path), "est.csv")
+    assert cli.main(["estimate", missing, "--out", out]) == 2
+
+
+def test_malformed_line_exits_2_naming_its_line(tmp_path, capsys):
+    log = os.path.join(str(tmp_path), "log.jsonl")
+    with open(log, "w") as fh:
+        fh.write(serialize_event(ImuSample(0.0, 0.0, 0.0, 0.0)) + "\n")
+        fh.write("{not json\n")
+    out = os.path.join(str(tmp_path), "est.csv")
+    assert cli.main(["estimate", log, "--out", out]) == 2
+    assert f"{log}:2:" in capsys.readouterr().err

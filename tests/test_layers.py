@@ -2,14 +2,7 @@
 are looked up (perfbench/measure.py LAYERS).  Every such name must stay
 defined in its owner's own namespace, or ``--trace 1`` fails on it."""
 
-import os
-import sys
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-if ROOT not in sys.path:
-    sys.path.insert(0, ROOT)
-
-from perfbench.measure import LAYERS  # noqa: E402
+from perfbench.measure import LAYERS
 
 
 def test_every_traced_layer_is_defined_where_it_is_patched():

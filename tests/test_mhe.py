@@ -28,14 +28,20 @@ def _zero_input(t):
     return InputSample(t, 0.0, 0.0, 0.0, 0.0)
 
 
+def _attach(win, scan):
+    """Bind a scan's Doppler rows to the window as the estimator does."""
+    x = win.ensure_state_at(scan.t_capture, _zero_input(scan.t_capture))
+    win.dop = np.concatenate((win.dop, scan_to_factors(scan, x, CFG)))
+
+
 def _cruise_window(vx=15.0, n=15, with_scans=3):
     """Window at exact constant-velocity truth with exact Doppler factors."""
     win = SlidingWindow(CFG)
     win.seed(0.0, _zero_input(0.0))
-    win.states[0].x[0] = vx
+    win.X[0, 0] = vx
     for k in range(1, n):
         win.push_state(k * DT, _zero_input(k * DT))
-    win.prior_x = win.states[0].x.copy()
+    win.prior_x = win.X[0].copy()
     win.prior_P = P_TRUTH_DEFAULT.as_array()
     rng = np.random.default_rng(0)
     for s in range(with_scans):
@@ -46,17 +52,16 @@ def _cruise_window(vx=15.0, n=15, with_scans=3):
             el = float(rng.uniform(-0.1, 0.1))
             v = _v_e(vx, az, el)
             pts.append(RadarPoint(10.0, az, el, wrap(v, 26.5), 25.0))
-        scan = RadarScan(0, t_cap, win.newest_t(), tuple(pts))
-        win.doppler.extend(scan_to_factors(scan, win, CFG))
+        _attach(win, RadarScan(0, t_cap, win.newest_t(), tuple(pts)))
     return win
 
 
 def test_push_state_bootstrap():
     win = SlidingWindow(CFG)
-    ws = win.push_state(0.0, _zero_input(0.0))
-    assert len(win.states) == 1
-    assert np.allclose(ws.x[:3], 0.0)
-    assert np.allclose(ws.x[3:], CFG.initial_biases)
+    win.push_state(0.0, _zero_input(0.0))
+    assert len(win.t) == 1
+    assert np.allclose(win.X[0, :3], 0.0)
+    assert np.allclose(win.X[0, 3:], CFG.initial_biases)
 
 
 def test_push_state_span_tracks_horizon():
@@ -79,19 +84,19 @@ def test_push_state_order_guard():
 
 def test_solve_noiseless_truth_initialized():
     win = _cruise_window()
-    states, P_new, report = solve(win, P_TRUTH_DEFAULT, CFG.solver, CFG)
+    _, report, _ = solve(win, P_TRUTH_DEFAULT, CFG.solver, CFG)
     assert report.final_cost == pytest.approx(0.0, abs=1e-12)
     assert report.iterations == 0
     assert report.termination == "gradient_tol"
-    assert np.allclose(states[-1].x[0], 15.0, atol=1e-9)
+    assert np.allclose(win.X[-1, 0], 15.0, atol=1e-9)
 
 
 def test_solve_iteration_cap():
     win = _cruise_window()
     # perturb one state so the optimizer has real work
-    win.states[5].x[0] += 0.5
-    win.states[5].x[1] -= 0.2
-    _, _, report = solve(win, P_TRUTH_DEFAULT, CFG.solver, CFG)
+    win.X[5, 0] += 0.5
+    win.X[5, 1] -= 0.2
+    _, report, _ = solve(win, P_TRUTH_DEFAULT, CFG.solver, CFG)
     assert report.iterations <= CFG.solver.max_iterations
     assert report.final_cost <= report.initial_cost
 
@@ -99,9 +104,9 @@ def test_solve_iteration_cap():
 def test_solve_cost_never_increases():
     rng = np.random.default_rng(17)
     win = _cruise_window()
-    for s in win.states:
-        s.x += rng.normal(0, 0.05, 6)
-    _, _, report = solve(win, P_TRUTH_DEFAULT, CFG.solver, CFG)
+    for x in win.X:
+        x += rng.normal(0, 0.05, 6)
+    _, report, _ = solve(win, P_TRUTH_DEFAULT, CFG.solver, CFG)
     assert report.final_cost <= report.initial_cost
     assert report.final_cost < report.initial_cost  # it had work to do
 
@@ -111,7 +116,7 @@ def test_solve_clamps_params_into_box():
     crazy = P_TRUTH_DEFAULT.as_array().copy()
     crazy[0] = 500.0   # B outside the box
     crazy[3] = -20.0   # E outside the box
-    _, P_new, _ = solve(win, crazy, CFG.solver, CFG)
+    P_new, _, _ = solve(win, crazy, CFG.solver, CFG)
     assert np.all(P_new >= CFG.bounds.full_min() - 1e-12)
     assert np.all(P_new <= CFG.bounds.full_max() + 1e-12)
 
@@ -121,8 +126,8 @@ def test_solve_time_cap_returns_last_accepted():
     settings = copy.deepcopy(CFG.solver)
     settings.max_time = 1e-9
     win = _cruise_window()
-    win.states[5].x[0] += 0.5
-    _, _, report = solve(win, P_TRUTH_DEFAULT, settings, CFG)
+    win.X[5, 0] += 0.5
+    _, report, _ = solve(win, P_TRUTH_DEFAULT, settings, CFG)
     assert report.termination == "max_time"
     assert report.final_cost <= report.initial_cost
 
@@ -133,8 +138,8 @@ def test_shift_span_arithmetic():
     for k in range(1, 18):
         win.push_state(k * DT, _zero_input(k * DT))
     assert win.span() == pytest.approx(0.17)
-    evicted = win.shift(P_TRUTH_DEFAULT.as_array())
-    assert len(evicted) == 2
+    evicted_t, _, _ = win.shift(P_TRUTH_DEFAULT.as_array())
+    assert len(evicted_t) == 2
     assert win.span() == pytest.approx(0.15)
 
 
@@ -142,24 +147,24 @@ def test_shift_refreshes_priors_and_drops_factors():
     win = _cruise_window(n=18, with_scans=0)
     # factor bound near the start gets evicted with its state
     pts = [RadarPoint(10.0, 0.0, 0.0, wrap(_v_e(15.0, 0, 0), 26.5), 25.0)]
-    scan = RadarScan(0, win.oldest_t() + 0.0052, win.newest_t(), tuple(pts))
-    win.doppler.extend(scan_to_factors(scan, win, CFG))
-    assert len(win.doppler) == 1
+    _attach(win, RadarScan(0, win.oldest_t() + 0.0052, win.newest_t(),
+                           tuple(pts)))
+    assert len(win.dop) == 1
     P_new = P_TRUTH_DEFAULT.as_array() * 1.01
     win.shift(P_new)
-    assert win.doppler == []
-    assert np.allclose(win.prior_x, win.states[0].x)
+    assert len(win.dop) == 0
+    assert np.allclose(win.prior_x, win.X[0])
     assert np.allclose(win.prior_P, P_new)
 
 
 def test_window_problem_jacobian_matches_fd():
     rng = np.random.default_rng(23)
     win = _cruise_window(vx=22.0, n=12, with_scans=2)
-    for s in win.states:
-        s.x += rng.normal(0, 0.02, 6)
-        s.u = InputSample(s.u.t, rng.normal(0, 1), rng.normal(0, 1),
-                          rng.normal(0, 0.1), rng.normal(0, 0.05))
-    win.states[3].zv = (0.01, -0.02, 0.001)
+    for x, u in zip(win.X, win.U):
+        x += rng.normal(0, 0.02, 6)
+        u[:] = (rng.normal(0, 1), rng.normal(0, 1), rng.normal(0, 0.1),
+                rng.normal(0, 0.05))
+    win.zv[3] = (0.01, -0.02, 0.001)
     problem = WindowProblem(win, P_TRUTH_DEFAULT.as_array(), CFG)
     z = problem.z_init()
     J = problem.jacobian(z).copy()
@@ -270,7 +275,7 @@ def test_estimate_outputs_below_gate_emits_nulls():
 
 def test_solve_report_breakdown_classes():
     win = _cruise_window()
-    _, _, report = solve(win, P_TRUTH_DEFAULT, CFG.solver, CFG)
+    _, report, _ = solve(win, P_TRUTH_DEFAULT, CFG.solver, CFG)
     assert set(report.breakdown) == {"prior_state", "prior_params",
                                      "process", "zupt", "lateral_force",
                                      "doppler"}

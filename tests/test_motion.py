@@ -107,18 +107,17 @@ def test_process_residual_whitening():
     win = SlidingWindow(cfg)
     u = InputSample(0.0, 0.0, 0.0, 0.0, 0.0)
     win.seed(0.0, u)
-    win.states[0].x[0] = 5.0
+    win.X[0, 0] = 5.0
     win.push_state(0.01, u)
-    win.ensure_state_at(0.015)
-    for s in win.states[1:]:
-        s.x[0] += 0.1
+    win.ensure_state_at(0.015, u)
+    win.X[1:, 0] += 0.1
     problem = WindowProblem(win, cfg.initial_params.as_array(), cfg)
     res = problem.residuals(problem.z_init())[problem.slices["process"]]
     res = res.reshape(2, 6)
     assert res[0, 0] == pytest.approx(1.0)
     assert res[1, 0] == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(res[:, 1:], 0.0)
-    X = np.array([s.x for s in win.states])
+    X = win.X
     w = 1.0 / np.sqrt(cfg.covariances.Sigma_w * np.array([[1.0], [0.5]]))
     assert np.allclose(process_residual(X, *np.zeros((3, 3)),
                                         np.array([0.01, 0.005]), w), res)
@@ -140,7 +139,7 @@ def test_nonfinite_state_raises_numeric_error():
     u = InputSample(0.0, 0.0, 0.0, 0.0, 0.0)
     win.seed(0.0, u)
     win.push_state(0.01, u)
-    win.states[0].x[0] = float("nan")
+    win.X[0, 0] = float("nan")
     problem = WindowProblem(win, cfg.initial_params.as_array(), cfg)
     with pytest.raises(NumericError, match="prior_state"):
         problem.check_finite(problem.residuals(problem.z_init()))

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from radgrip.core import (AliasDomainError, InputSample, RadarPoint,
-                          RadarScan, StaleScanError, default_config)
-from radgrip.mhe import SlidingWindow
-from radgrip.radar import (REJECT_INNOVATION, REJECT_LOW_SNR,
+from radgrip.core import (ImuSample, InputSample, RadarPoint, RadarScan,
+                          StaleScanError, default_config)
+from radgrip.mhe import Estimator, SlidingWindow
+from radgrip.radar import (REJECT_ALIAS, REJECT_INNOVATION, REJECT_LOW_SNR,
                            bearing_vectors, body_projection, dealias,
                            doppler_residual, ego_velocity_ls,
                            expected_doppler, gate_points, scan_to_factors)
@@ -77,15 +77,24 @@ def test_dealias_one_wrap_down():
 
 
 def test_dealias_rejects_out_of_band_measurement():
-    with pytest.raises(AliasDomainError):
-        dealias([5.0, 30.0], [0.0, 0.0], 26.5)
-    # the replay path raises it for the whole scan
+    # an out-of-band point is rejected with its own reason, ahead of the
+    # SNR gate; the in-band points of the same scan are still accepted
+    v_r, _ = dealias([5.0, 30.0, 30.0], [5.0, 0.0, 0.0], 26.5)
+    reason = gate_points([25.0, 25.0, 4.0], [5.0, 0.0, 0.0], v_r, CFG)
+    assert reason.tolist() == [None, REJECT_ALIAS, REJECT_ALIAS]
     win = _window_at_speed(20.0)
     pts = [RadarPoint(10.0, 0.0, 0.0, -20.0, 25.0),
            RadarPoint(10.0, 0.1, 0.0, 30.0, 25.0)]
-    with pytest.raises(AliasDomainError):
-        scan_to_factors(_scan(pts, win.newest_t() - 0.05, win.newest_t()),
-                        win, CFG)
+    rows = _bind(win, _scan(pts, win.newest_t() - 0.05, win.newest_t()))
+    assert len(rows) == 1 and rows[0, 1] == pytest.approx(-20.0)
+    # the estimator counts the point and carries on
+    est = Estimator(CFG)
+    est.attach(ImuSample(0.0, 0.0, 0.0, 0.0))
+    pts = [RadarPoint(10.0, 0.0, 0.0, 0.0, 25.0),
+           RadarPoint(10.0, 0.1, 0.0, 30.0, 25.0)]
+    assert est.attach(_scan(pts, 0.0, 0.001)) is True
+    assert (est.counters["doppler_accepted"],
+            est.counters["doppler_rejected"]) == (1, 1)
 
 
 def test_dealias_tie_breaks_to_even():
@@ -135,7 +144,7 @@ def _window_at_speed(vx, t_end=1.0):
     win = SlidingWindow(CFG)
     u = InputSample(0.0, 0.0, 0.0, 0.0, 0.0)
     win.seed(0.0, u)
-    win.states[0].x[0] = vx
+    win.X[0, 0] = vx
     t = CFG.thresholds.dt
     while t <= t_end + 1e-9:
         win.push_state(t, InputSample(t, 0.0, 0.0, 0.0, 0.0))
@@ -147,21 +156,30 @@ def _scan(points, t_capture, t_receive, radar_id=0):
     return RadarScan(radar_id, t_capture, t_receive, tuple(points))
 
 
+def _bind(win, scan):
+    """Doppler rows of a scan at the window state at its capture time,
+    inserted as the estimator does."""
+    t = scan.t_capture
+    return scan_to_factors(
+        scan, win.ensure_state_at(t, InputSample(t, 0.0, 0.0, 0.0, 0.0)),
+        CFG)
+
+
 def test_scan_inserts_state_back_in_time():
     # capture 90.3 ms back falls between grid states and forces insertion
     win = _window_at_speed(20.0)
     newest = win.newest_t()
     t_cap = newest - 0.0903
     pts = [RadarPoint(10.0, 0.0, 0.0, wrap(-20.0, 26.5), 25.0)]
-    n_before = len(win.states)
-    factors = scan_to_factors(_scan(pts, t_cap, newest), win, CFG)
-    assert len(win.states) == n_before + 1
-    times = [s.t for s in win.states]
+    n_before = len(win.t)
+    rows = _bind(win, _scan(pts, t_cap, newest))
+    assert len(win.t) == n_before + 1
+    times = win.t.tolist()
     assert any(abs(t - t_cap) < 1e-9 for t in times)
     assert times == sorted(times)
-    assert len(factors) == 1
-    assert factors[0].state_timestamp == pytest.approx(t_cap)
-    assert factors[0].v_r == pytest.approx(-20.0)
+    assert len(rows) == 1
+    assert rows[0, 0] == pytest.approx(t_cap)
+    assert rows[0, 1] == pytest.approx(-20.0)
 
 
 def test_scan_ninety_ms_back_binds_at_capture_time():
@@ -171,49 +189,46 @@ def test_scan_ninety_ms_back_binds_at_capture_time():
     newest = win.newest_t()
     t_cap = newest - 0.09
     pts = [RadarPoint(10.0, 0.0, 0.0, wrap(-20.0, 26.5), 25.0)]
-    n_before = len(win.states)
-    factors = scan_to_factors(_scan(pts, t_cap, newest), win, CFG)
-    assert len(win.states) == n_before
-    assert factors[0].state_timestamp == pytest.approx(t_cap)
+    n_before = len(win.t)
+    rows = _bind(win, _scan(pts, t_cap, newest))
+    assert len(win.t) == n_before
+    assert rows[0, 0] == pytest.approx(t_cap)
 
 
 def test_scan_binds_to_existing_grid_state():
     win = _window_at_speed(20.0)
-    t_cap = win.states[-3].t
+    t_cap = win.t[-3]
     pts = [RadarPoint(10.0, 0.0, 0.0, wrap(-20.0, 26.5), 25.0)]
-    n_before = len(win.states)
-    scan_to_factors(_scan(pts, t_cap, win.newest_t()), win, CFG)
-    assert len(win.states) == n_before
+    n_before = len(win.t)
+    _bind(win, _scan(pts, t_cap, win.newest_t()))
+    assert len(win.t) == n_before
 
 
 def test_scan_fully_gated_yields_no_factors():
     win = _window_at_speed(20.0)
     pts = [RadarPoint(10.0, 0.0, 0.0, wrap(-20.0, 26.5), 2.0)]  # low SNR
-    factors = scan_to_factors(
-        _scan(pts, win.newest_t() - 0.05, win.newest_t()), win, CFG)
-    assert factors == []
+    rows = _bind(win, _scan(pts, win.newest_t() - 0.05, win.newest_t()))
+    assert len(rows) == 0
 
 
 def test_stale_scan_rejected():
     win = _window_at_speed(20.0)
     pts = [RadarPoint(10.0, 0.0, 0.0, 0.0, 25.0)]
     with pytest.raises(StaleScanError):
-        scan_to_factors(_scan(pts, win.oldest_t() - 0.2, win.newest_t()),
-                        win, CFG)
+        _bind(win, _scan(pts, win.oldest_t() - 0.2, win.newest_t()))
 
 
-def _residual(f, x, sigma=None):
-    """Whitened residual of one factor at state x."""
-    w = 1.0 / (f.sigma if sigma is None else sigma)
-    return float(doppler_residual(x, f.v_r, f.cx, f.cy, f.lever, w))
+def _residual(row, x, sigma=None):
+    """Whitened residual of one Doppler row at state x."""
+    w = 1.0 / (CFG.covariances.sigma_doppler if sigma is None else sigma)
+    return float(doppler_residual(x, *row[1:], w))
 
 
 def test_doppler_residual_consistency():
     win = _window_at_speed(20.0)
     pts = [RadarPoint(10.0, 0.1, 0.02, wrap(
         _v_e(_x(vx=20.0), CFG.radars[0], 0.1, 0.02), 26.5), 25.0)]
-    f = scan_to_factors(_scan(pts, win.newest_t() - 0.05, win.newest_t()),
-                        win, CFG)[0]
+    f = _bind(win, _scan(pts, win.newest_t() - 0.05, win.newest_t()))[0]
     assert _residual(f, _x(vx=20.0)) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -223,8 +238,7 @@ def test_doppler_residual_velocity_error():
     v_true = _v_e(_x(vx=20.0), ext, 0.0, 0.0)
     win = _window_at_speed(20.0)
     pts = [RadarPoint(10.0, 0.0, 0.0, wrap(v_true, 26.5), 25.0)]
-    f = scan_to_factors(_scan(pts, win.newest_t() - 0.05, win.newest_t()),
-                        win, CFG)[0]
+    f = _bind(win, _scan(pts, win.newest_t() - 0.05, win.newest_t()))[0]
     res = _residual(f, _x(vx=19.0), sigma=0.2)
     assert abs(res) == pytest.approx(5.0, abs=1e-9)
 
@@ -235,8 +249,7 @@ def test_doppler_residual_lateral_orthogonality():
     v_true = _v_e(_x(vx=20.0, vy=0.5), ext, math.pi / 2, 0.0)
     win = _window_at_speed(20.0)
     pts = [RadarPoint(10.0, math.pi / 2, 0.0, wrap(v_true, 26.5), 25.0)]
-    f = scan_to_factors(_scan(pts, win.newest_t() - 0.05, win.newest_t()),
-                        win, CFG)[0]
+    f = _bind(win, _scan(pts, win.newest_t() - 0.05, win.newest_t()))[0]
     r1 = _residual(f, _x(vx=20.0, vy=0.5))
     r2 = _residual(f, _x(vx=15.0, vy=0.5))
     assert r1 == pytest.approx(r2, abs=1e-9)

@@ -26,7 +26,7 @@ def _window(vx, ax=0.0, ay=0.0, delta=0.0, cfg=CFG):
     """Two-state window at constant speed with the given inputs."""
     win = SlidingWindow(cfg)
     win.seed(0.0, InputSample(0.0, ax, ay, 0.0, delta))
-    win.states[0].x[0] = vx
+    win.X[0, 0] = vx
     win.push_state(0.01, InputSample(0.01, ax, ay, 0.0, delta))
     return win
 
@@ -60,7 +60,7 @@ def test_slip_angles_gate():
     # the gate keeps slip angles clear of the 1/vx singularity: the
     # solver forms no lateral-force row and the output no slip below it
     gate = force_gate(np.array([2.0, 2.0, 6.0, -6.0]),
-                      np.array([0.0, 6.0, 0.0, 0.0]), 0.0, CFG)
+                      np.array([0.0, 6.0, 0.0, 0.0]), 0.0, 0.0, CFG)
     assert gate.tolist() == [False, False, True, True]
     row = estimate_outputs(_window(2.0), CFG.initial_params, CFG)
     assert row.alpha_f is None and row.alpha_r is None
@@ -94,6 +94,19 @@ def test_vertical_load_domain_error():
     assert row.alpha_f is None and row.Fyf is None and row.beta is None
     row = estimate_outputs(_window(10.0, cfg=EX), EX.initial_params, EX)
     assert row.alpha_f is not None and row.Fyf is not None
+
+
+def test_nonpositive_load_forms_no_lateral_force_rows():
+    # above the speed gate, 100 m/s^2 of measured acceleration puts the
+    # front load below zero, where Fz*Y and its partials change sign: the
+    # window forms no lateral-force rows there
+    assert vertical_loads(30.0, 100.0, CFG)[0] < 0.0
+    assert not force_gate(30.0, 0.0, 100.0, 0.0, CFG)
+    problem = WindowProblem(_window(30.0, ax=100.0),
+                            CFG.initial_params.as_array(), CFG)
+    assert len(problem.fy_idx) == 0
+    assert len(WindowProblem(_window(30.0, ax=10.0),
+                             CFG.initial_params.as_array(), CFG).fy_idx) == 2
 
 
 P_EX = PacejkaAxleParams(10.0, 1.9, 1.0, 0.97, 0.0, 0.0)
@@ -201,7 +214,7 @@ def test_measured_forces_continuous_at_zero_delta():
 def test_measured_forces_steering_domain():
     # the split divides by cos(delta): the one force gate stops well short
     delta = np.radians([0.0, 30.0, 85.0, -85.0])
-    assert force_gate(30.0, 0.0, delta, EX).tolist() == [
+    assert force_gate(30.0, 0.0, 0.0, delta, EX).tolist() == [
         True, True, False, False]
     assert len(WindowProblem(_window(30.0, delta=math.radians(85.0),
                                      cfg=EX),

@@ -6,8 +6,6 @@ and a replay CLI for closed-loop validation."""
 from radgrip.core import (
     VehicleConfig,
     InputSample,
-    PacejkaAxleParams,
-    TireParamSet,
     RadarPoint,
     RadarScan,
     RadarExtrinsics,
@@ -26,8 +24,6 @@ from radgrip.mhe import Estimator, SlidingWindow, SolveReport
 __all__ = [
     "VehicleConfig",
     "InputSample",
-    "PacejkaAxleParams",
-    "TireParamSet",
     "RadarPoint",
     "RadarScan",
     "RadarExtrinsics",

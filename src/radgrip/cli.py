@@ -19,11 +19,10 @@ import numpy as np
 
 from radgrip import mhe, simgen
 from radgrip.core import (AlignmentError, ConfigError, ESTIMATE_CSV_HEADER,
-                          EstimatorError, IoError, ParseError,
-                          RangeError, SchemaError, TRUTH_CSV_HEADER,
-                          TireParamSet, UsageError, VehicleConfig,
-                          config_hash, load_config, parse_event,
-                          serialize_event)
+                          EstimatorError, IoError, ParseError, RangeError,
+                          SchemaError, TRUTH_CSV_HEADER, UsageError,
+                          VehicleConfig, config_hash, load_config,
+                          parse_event, serialize_event)
 
 
 def _fmt(v) -> str:
@@ -132,7 +131,7 @@ def cmd_estimate(log_path: str, config_path: str | None, out_csv: str,
     if randomize_params is not None:
         rng = np.random.default_rng(randomize_params)
         lo, hi = cfg.bounds.full_min(), cfg.bounds.full_max()
-        p_init = TireParamSet.from_array(rng.uniform(lo, hi))
+        p_init = rng.uniform(lo, hi)
     est = mhe.replay_events(read_events(log_path), cfg, p_init=p_init)
     try:
         with open(out_csv, "w", encoding="utf-8") as fh:

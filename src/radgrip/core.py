@@ -10,8 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -30,7 +30,7 @@ class ParseError(EstimatorError):
 
 
 class SchemaError(EstimatorError):
-    """A log record or config entry is missing or mistypes a required field."""
+    """A log record is missing or mistypes a required field."""
 
 
 class RangeError(EstimatorError):
@@ -94,43 +94,6 @@ class InputSample:
     ay_meas: float
     r_meas: float
     delta: float
-
-
-@dataclass(frozen=True)
-class PacejkaAxleParams:
-    """Macro-parameters of the lateral tire curve for one axle.
-
-    D is normalized (force per unit vertical load); Sh is in rad.
-    """
-
-    B: float
-    C: float
-    D: float
-    E: float
-    Sh: float
-    Sv: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.B, self.C, self.D, self.E, self.Sh, self.Sv])
-
-    @staticmethod
-    def from_array(a) -> "PacejkaAxleParams":
-        return PacejkaAxleParams(*(float(v) for v in a))
-
-
-@dataclass(frozen=True)
-class TireParamSet:
-    front: PacejkaAxleParams
-    rear: PacejkaAxleParams
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.front.as_array(), self.rear.as_array()])
-
-    @staticmethod
-    def from_array(a) -> "TireParamSet":
-        a = np.asarray(a, dtype=float)
-        return TireParamSet(PacejkaAxleParams.from_array(a[:6]),
-                            PacejkaAxleParams.from_array(a[6:12]))
 
 
 @dataclass(frozen=True)
@@ -207,6 +170,11 @@ def event_time(ev: SensorEvent) -> float:
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _vector(*values: float):
+    """A dataclass field defaulting to a fresh float array of ``values``."""
+    return field(default_factory=lambda: np.array(values, dtype=float))
+
+
 @dataclass
 class Thresholds:
     V_min: float = 0.5          # standstill speed threshold (m/s)
@@ -226,43 +194,20 @@ class Covariances:
     variance per nominal dt step and scales linearly with the actual
     sub-interval length."""
 
-    Sigma_x0: np.ndarray = None
-    Sigma_P: np.ndarray = None
-    Sigma_w: np.ndarray = None
-    Sigma_zv: np.ndarray = None
+    Sigma_x0: np.ndarray = _vector(0.25, 0.25, 1e-2, 2.25e-4, 2.25e-4, 2.5e-7)
+    Sigma_P: np.ndarray = _vector(*2 * (0.16, 2.5e-3, 4e-4, 1e-2, 9e-6, 1e-4))
+    Sigma_w: np.ndarray = _vector(1.6e-7, 1.6e-7, 1e-6, 1e-10, 1e-10, 1e-12)
+    Sigma_zv: np.ndarray = _vector(1e-4, 1e-4, 1e-6, 4e-4, 4e-4, 1e-6)
     sigma_doppler: float = 0.2
-    Sigma_Fy: np.ndarray = None
-
-    def __post_init__(self):
-        if self.Sigma_x0 is None:
-            self.Sigma_x0 = np.array(
-                [0.25, 0.25, 1e-2, 2.25e-4, 2.25e-4, 2.5e-7])
-        if self.Sigma_P is None:
-            per_axle = [0.16, 2.5e-3, 4e-4, 1e-2, 9e-6, 1e-4]
-            self.Sigma_P = np.array(per_axle + per_axle)
-        if self.Sigma_w is None:
-            self.Sigma_w = np.array(
-                [1.6e-7, 1.6e-7, 1e-6, 1e-10, 1e-10, 1e-12])
-        if self.Sigma_zv is None:
-            self.Sigma_zv = np.array([1e-4, 1e-4, 1e-6, 4e-4, 4e-4, 1e-6])
-        if self.Sigma_Fy is None:
-            self.Sigma_Fy = np.array([9e4, 9e4])
-        for name in ("Sigma_x0", "Sigma_P", "Sigma_w", "Sigma_zv", "Sigma_Fy"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+    Sigma_Fy: np.ndarray = _vector(9e4, 9e4)
 
 
 @dataclass
 class ParamBounds:
-    P_min: np.ndarray = None
-    P_max: np.ndarray = None
+    """Box on one axle's [B, C, D, E, Sh, Sv], applied to both axles."""
 
-    def __post_init__(self):
-        if self.P_min is None:
-            self.P_min = np.array([1.0, 0.5, 0.5, -5.0, -0.1, -0.5])
-        if self.P_max is None:
-            self.P_max = np.array([40.0, 4.0, 4.0, 1.0, 0.1, 0.5])
-        self.P_min = np.asarray(self.P_min, dtype=float)
-        self.P_max = np.asarray(self.P_max, dtype=float)
+    P_min: np.ndarray = _vector(1.0, 0.5, 0.5, -5.0, -0.1, -0.5)
+    P_max: np.ndarray = _vector(40.0, 4.0, 4.0, 1.0, 0.1, 0.5)
 
     def full_min(self) -> np.ndarray:
         return np.concatenate([self.P_min, self.P_min])
@@ -281,42 +226,6 @@ class SolverCfg:
     cauchy_scale: float = 1.0       # on whitened Doppler residuals
 
 
-@dataclass
-class VehicleConfig:
-    """Masses, geometry, aero, sensor extrinsics and estimator tuning."""
-
-    m: float = 800.0
-    lf: float = 1.6
-    lr: float = 1.4
-    hg: float = 0.3
-    g: float = 9.81
-    rho: float = 1.2
-    A: float = 1.0
-    Czf: float = 1.9
-    Czr: float = 2.3
-    Iz: float = 1000.0              # truth simulator only
-    steering_ratio: float = 1.0     # column angle / road-wheel angle
-    delta_max: float = 0.5
-    initial_biases: np.ndarray = None
-    initial_params: TireParamSet = None
-    assume_level_standstill: bool = True
-    radars: list = None
-    thresholds: Thresholds = field(default_factory=Thresholds)
-    covariances: Covariances = field(default_factory=Covariances)
-    bounds: ParamBounds = field(default_factory=ParamBounds)
-    solver: SolverCfg = field(default_factory=SolverCfg)
-
-    def __post_init__(self):
-        if self.initial_biases is None:
-            self.initial_biases = np.zeros(3)
-        self.initial_biases = np.asarray(self.initial_biases, dtype=float)
-        if self.initial_params is None:
-            nominal = PacejkaAxleParams(9.0, 1.5, 0.8, 0.0, 0.0, 0.0)
-            self.initial_params = TireParamSet(nominal, nominal)
-        if self.radars is None:
-            self.radars = _default_radars()
-
-
 def _rot_z(yaw: float) -> np.ndarray:
     c, s = math.cos(yaw), math.sin(yaw)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -330,6 +239,37 @@ def _default_radars() -> list:
     ]
 
 
+@dataclass
+class VehicleConfig:
+    """Masses, geometry, aero, sensor extrinsics and estimator tuning.
+
+    initial_params is the tire-parameter prior [B, C, D, E, Sh, Sv] of the
+    front axle, then of the rear: D is normalized (force per unit vertical
+    load) and Sh is in rad.
+    """
+
+    m: float = 800.0
+    lf: float = 1.6
+    lr: float = 1.4
+    hg: float = 0.3
+    g: float = 9.81
+    rho: float = 1.2
+    A: float = 1.0
+    Czf: float = 1.9
+    Czr: float = 2.3
+    Iz: float = 1000.0              # truth simulator only
+    steering_ratio: float = 1.0     # column angle / road-wheel angle
+    delta_max: float = 0.5
+    initial_biases: np.ndarray = _vector(0.0, 0.0, 0.0)
+    initial_params: np.ndarray = _vector(*2 * (9.0, 1.5, 0.8, 0.0, 0.0, 0.0))
+    assume_level_standstill: bool = True
+    radars: list[RadarExtrinsics] = field(default_factory=_default_radars)
+    thresholds: Thresholds = field(default_factory=Thresholds)
+    covariances: Covariances = field(default_factory=Covariances)
+    bounds: ParamBounds = field(default_factory=ParamBounds)
+    solver: SolverCfg = field(default_factory=SolverCfg)
+
+
 def default_config() -> VehicleConfig:
     return validate_config(VehicleConfig())
 
@@ -338,16 +278,15 @@ def default_config() -> VehicleConfig:
 # Config file I/O
 # ---------------------------------------------------------------------------
 
-_COV_KEYS = ("Sigma_x0", "Sigma_P", "Sigma_w", "Sigma_zv", "Sigma_Fy")
-
-
 def load_config(path: str | None) -> VehicleConfig:
     """Load a YAML config file, overlaying the documented defaults.
 
-    Only keys present in the file are overridden; the accepted keys are
-    those of apply_config_dict, and the defaults and units are those of the
-    VehicleConfig, Thresholds, Covariances, ParamBounds and SolverCfg
-    dataclasses above.  ``path=None`` returns the defaults.
+    The accepted keys are the fields of VehicleConfig and of its nested
+    dataclasses, which hold the defaults and units; radars is a list of
+    RadarExtrinsics mappings.  Only keys present in the file are
+    overridden.  Malformed input raises ConfigError naming the dotted
+    path.  Numbers are never read from strings: YAML reads 1e-9 as a
+    string, so write 1.0e-9.  ``path=None`` returns the defaults.
     """
     cfg = VehicleConfig()
     if path is None:
@@ -359,117 +298,90 @@ def load_config(path: str | None) -> VehicleConfig:
         raise IoError(f"cannot read config file {path!r}: {e}") from e
     except yaml.YAMLError as e:
         raise ConfigError(f"invalid YAML in {path!r}: {e}") from e
-    if raw is None:
-        return validate_config(cfg)
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    return validate_config(apply_config_dict(cfg, raw))
+    return validate_config(apply_config_dict(cfg, {} if raw is None else raw))
 
 
-def apply_config_dict(cfg: VehicleConfig, raw: dict) -> VehicleConfig:
-    """Overlay a parsed config mapping onto ``cfg`` (returns ``cfg``)."""
-    scalar_keys = {
-        "m", "lf", "lr", "hg", "g", "rho", "A", "Czf", "Czr", "Iz",
-        "steering_ratio", "delta_max", "assume_level_standstill",
-    }
-    for key, val in raw.items():
-        if key in scalar_keys:
-            setattr(cfg, key, val)
-        elif key == "initial_biases":
-            cfg.initial_biases = np.asarray(val, dtype=float)
-        elif key == "initial_params":
-            cfg.initial_params = _params_from_dict(val)
-        elif key == "radars":
-            cfg.radars = [_radar_from_dict(i, d) for i, d in enumerate(val)]
-        elif key == "thresholds":
-            _overlay(cfg.thresholds, val, "thresholds")
-        elif key == "covariances":
-            for k, v in val.items():
-                if k in _COV_KEYS:
-                    setattr(cfg.covariances, k, np.asarray(v, dtype=float))
-                elif k == "sigma_doppler":
-                    cfg.covariances.sigma_doppler = float(v)
-                else:
-                    raise ConfigError(f"covariances.{k}")
-        elif key == "bounds":
-            for k, v in val.items():
-                if k in ("P_min", "P_max"):
-                    setattr(cfg.bounds, k, np.asarray(v, dtype=float))
-                else:
-                    raise ConfigError(f"bounds.{k}")
-        elif key == "solver":
-            _overlay(cfg.solver, val, "solver")
+def apply_config_dict(cfg, raw, path: str = ""):
+    """Overlay a parsed config mapping onto the dataclass ``cfg`` in place
+    and return it.  Every key must name a field; a dataclass field takes a
+    mapping, overlaid recursively, and any other value is converted to the
+    field's annotated type.  ConfigError names the dotted path of a bad
+    key or value (``path`` prefixes it)."""
+    for key, val, typ, name in _entries(type(cfg), raw, path):
+        current = getattr(cfg, key)
+        if is_dataclass(current):
+            apply_config_dict(current, val, name)
         else:
-            raise ConfigError(f"unknown config key {key!r}")
+            setattr(cfg, key, _convert(val, typ, name))
     return cfg
 
 
-def _overlay(obj, mapping: dict, section: str) -> None:
-    for k, v in mapping.items():
-        if not hasattr(obj, k):
-            raise ConfigError(f"{section}.{k}")
-        setattr(obj, k, type(getattr(obj, k))(v))
+def _entries(cls, raw, path: str):
+    """(field, value, annotated type, dotted name) for each entry of the
+    mapping ``raw`` of fields of dataclass ``cls``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'config root'}: expected a mapping, "
+                          f"got {raw!r}")
+    hints = get_type_hints(cls)
+    types = {f.name: hints[f.name] for f in fields(cls)}
+    for key, val in raw.items():
+        name = f"{path}.{key}" if path else str(key)
+        if key not in types:
+            raise ConfigError(f"{name}: unknown config key")
+        yield key, val, types[key], name
 
 
-def _params_from_dict(val) -> TireParamSet:
-    def axle(d):
-        if isinstance(d, dict):
-            return PacejkaAxleParams(**{k: float(v) for k, v in d.items()})
-        return PacejkaAxleParams.from_array(d)
+def _convert(val, typ, name: str):
+    """``val`` as a value of the field type ``typ``: a bool must be a YAML
+    bool, an int integral, and numbers and arrays are never strings."""
+    if get_origin(typ) is list:
+        if not isinstance(val, list):
+            raise ConfigError(f"{name}: expected a list, got {val!r}")
+        (item,) = get_args(typ)
+        return [_build(item, v, f"{name}[{i}]") for i, v in enumerate(val)]
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
     try:
-        return TireParamSet(axle(val["front"]), axle(val["rear"]))
-    except (KeyError, TypeError) as e:
-        raise ConfigError(f"initial_params: {e}") from e
+        if typ is np.ndarray:
+            arr = np.asarray(val)           # ValueError when ragged
+            if arr.dtype.kind in "iuf":
+                return arr.astype(float)
+        elif typ is bool and isinstance(val, bool):
+            return val
+        elif typ is int and number and val == int(val):
+            return int(val)
+        elif typ is float and number:
+            return float(val)               # OverflowError past 1.8e308
+    except (ValueError, OverflowError):
+        pass
+    expected = {np.ndarray: "a list of numbers", bool: "true or false",
+                int: "an integer", float: "a number"}[typ]
+    raise ConfigError(f"{name}: expected {expected}, got {val!r}")
 
 
-def _radar_from_dict(i: int, d: dict) -> RadarExtrinsics:
-    try:
-        rot = np.asarray(d["rotation"], dtype=float)
-        trans = np.asarray(d["translation"], dtype=float)
-        ext = RadarExtrinsics(rot, trans, float(d["nyquist"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"radars[{i}]: {e}") from e
-    if "fov_azimuth" in d:
-        ext.fov_azimuth = float(d["fov_azimuth"])
-    if "fov_elevation" in d:
-        ext.fov_elevation = float(d["fov_elevation"])
-    return ext
+def _build(cls, raw, path: str):
+    """A new ``cls`` from a mapping that gives every field lacking a
+    default."""
+    values = {key: _convert(val, typ, name)
+              for key, val, typ, name in _entries(cls, raw, path)}
+    for f in fields(cls):
+        if (f.name not in values and f.default is MISSING
+                and f.default_factory is MISSING):
+            raise ConfigError(f"{path}.{f.name}: missing")
+    return cls(**values)
 
 
-def config_to_dict(cfg: VehicleConfig) -> dict:
-    """Plain-data rendering of a config, used for hashing and manifests."""
-    return {
-        "m": cfg.m, "lf": cfg.lf, "lr": cfg.lr, "hg": cfg.hg, "g": cfg.g,
-        "rho": cfg.rho, "A": cfg.A, "Czf": cfg.Czf, "Czr": cfg.Czr,
-        "Iz": cfg.Iz, "steering_ratio": cfg.steering_ratio,
-        "delta_max": cfg.delta_max,
-        "assume_level_standstill": cfg.assume_level_standstill,
-        "initial_biases": cfg.initial_biases.tolist(),
-        "initial_params": {
-            "front": cfg.initial_params.front.as_array().tolist(),
-            "rear": cfg.initial_params.rear.as_array().tolist(),
-        },
-        "radars": [
-            {
-                "rotation": r.rotation.tolist(),
-                "translation": r.translation.tolist(),
-                "nyquist": r.nyquist,
-                "fov_azimuth": r.fov_azimuth,
-                "fov_elevation": r.fov_elevation,
-            }
-            for r in cfg.radars
-        ],
-        "thresholds": vars(cfg.thresholds).copy(),
-        "covariances": {
-            **{k: getattr(cfg.covariances, k).tolist() for k in _COV_KEYS},
-            "sigma_doppler": cfg.covariances.sigma_doppler,
-        },
-        "bounds": {
-            "P_min": cfg.bounds.P_min.tolist(),
-            "P_max": cfg.bounds.P_max.tolist(),
-        },
-        "solver": vars(cfg.solver).copy(),
-    }
+def config_to_dict(cfg):
+    """Plain-data rendering of a config, used for hashing, manifests and
+    as a config file: a dataclass becomes a dict of its fields, an array
+    or a list a list."""
+    if is_dataclass(cfg):
+        return {f.name: config_to_dict(getattr(cfg, f.name))
+                for f in fields(cfg)}
+    if isinstance(cfg, np.ndarray):
+        return cfg.tolist()
+    if isinstance(cfg, list):
+        return [config_to_dict(v) for v in cfg]
+    return cfg
 
 
 def config_hash(cfg: VehicleConfig) -> str:
@@ -522,11 +434,9 @@ def validate_config(cfg: VehicleConfig) -> VehicleConfig:
     if cfg.initial_biases.shape != (3,) or not np.all(
             np.isfinite(cfg.initial_biases)):
         raise ConfigError("initial_biases")
-    for axle_name, p in (("front", cfg.initial_params.front),
-                         ("rear", cfg.initial_params.rear)):
-        pa = p.as_array()
-        if not np.all(np.isfinite(pa)):
-            raise ConfigError(f"initial_params.{axle_name}")
+    if cfg.initial_params.shape != (12,) or not np.all(
+            np.isfinite(cfg.initial_params)):
+        raise ConfigError("initial_params")
     s = cfg.solver
     if s.max_iterations < 1:
         raise ConfigError("solver.max_iterations")
@@ -535,9 +445,8 @@ def validate_config(cfg: VehicleConfig) -> VehicleConfig:
     if not cfg.radars:
         raise ConfigError("radars")
     for i, ext in enumerate(cfg.radars):
-        ext.rotation = np.asarray(ext.rotation, dtype=float)
-        ext.translation = np.asarray(ext.translation, dtype=float)
-        if ext.rotation.shape != (3, 3):
+        if ext.rotation.shape != (3, 3) or not np.all(
+                np.isfinite(ext.rotation)):
             raise ConfigError(f"radars[{i}].rotation")
         err = np.abs(ext.rotation @ ext.rotation.T - np.eye(3)).max()
         det = np.linalg.det(ext.rotation)
@@ -551,8 +460,9 @@ def validate_config(cfg: VehicleConfig) -> VehicleConfig:
             raise ConfigError(f"radars[{i}].translation")
         if not (math.isfinite(ext.nyquist) and ext.nyquist > 0):
             raise ConfigError(f"radars[{i}].nyquist")
-        if ext.fov_azimuth <= 0 or ext.fov_elevation <= 0:
-            raise ConfigError(f"radars[{i}].fov")
+        for fov in (ext.fov_azimuth, ext.fov_elevation):
+            if not (math.isfinite(fov) and fov > 0):
+                raise ConfigError(f"radars[{i}].fov")
     return cfg
 
 

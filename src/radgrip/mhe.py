@@ -34,8 +34,8 @@ from radgrip import radar as radar_mod
 from radgrip.core import (EstimatorError, ImuSample, InputSample,
                           NumericError, RadarScan, ReferenceVelocity,
                           SolverCfg, StaleEventError, StaleScanError,
-                          SteeringSample, TireParamSet, VehicleConfig,
-                          WindowOrderError, event_time)
+                          SteeringSample, VehicleConfig, WindowOrderError,
+                          event_time)
 from radgrip.motion import predict_array
 
 _T_EPS = 1e-9
@@ -74,8 +74,7 @@ class SlidingWindow:
         self.dop = np.empty((0, 5))
         self.prior_x: np.ndarray | None = None
         self.prior_P: np.ndarray = np.clip(
-            cfg.initial_params.as_array(),
-            cfg.bounds.full_min(), cfg.bounds.full_max())
+            cfg.initial_params, cfg.bounds.full_min(), cfg.bounds.full_max())
 
     def oldest_t(self) -> float:
         return self.t[0]
@@ -442,15 +441,13 @@ def solve_problem(problem: WindowProblem, settings: SolverCfg,
     return z, report, lam
 
 
-def solve(window: SlidingWindow, P_current: np.ndarray | TireParamSet,
+def solve(window: SlidingWindow, P_current: np.ndarray,
           settings: SolverCfg, cfg: VehicleConfig,
           lam: float | None = None
           ) -> tuple[np.ndarray, SolveReport, float]:
     """Solve the window in place: window.X becomes the refined states.
     Returns (P, report, damping) with P the refined tire parameters and
     the damping to warm-start the next solve."""
-    if isinstance(P_current, TireParamSet):
-        P_current = P_current.as_array()
     problem = WindowProblem(window, P_current, cfg)
     z, report, lam_out = solve_problem(problem, settings, lam)
     K = problem.K
@@ -480,13 +477,11 @@ class OutputRow:
     beta: float | None
 
 
-def estimate_outputs(window: SlidingWindow, P: np.ndarray | TireParamSet,
+def estimate_outputs(window: SlidingWindow, P: np.ndarray,
                      cfg: VehicleConfig, index: int = -1) -> OutputRow:
     """Output row for one window state (newest by default).  Slip, force
     and side-slip fields are None outside the lateral-force gate and at a
     nonphysical (non-positive) vertical load."""
-    if isinstance(P, TireParamSet):
-        P = P.as_array()
     return _output_row(window.t[index], window.X[index], window.U[index], P,
                        cfg)
 
@@ -495,7 +490,6 @@ def _output_row(t: float, x: np.ndarray, u: np.ndarray, P: np.ndarray,
                 cfg: VehicleConfig) -> OutputRow:
     """Output row of state x at time t with inputs u = [ax, ay, r, delta]."""
     ax_meas, delta = u[0], u[3]
-    pset = TireParamSet.from_array(P)
     alpha_f = alpha_r = fyf = fyr = beta = None
     if tire.force_gate(x[0], x[1], ax_meas, delta, cfg):
         alpha_f, alpha_r = (float(a) for a in tire.slip_angles(
@@ -505,8 +499,8 @@ def _output_row(t: float, x: np.ndarray, u: np.ndarray, P: np.ndarray,
         beta = math.atan(x[1] / x[0])
     return OutputRow(float(t), *(float(v) for v in x),
                      alpha_f, alpha_r, fyf, fyr,
-                     tire.cornering_stiffness(pset.front),
-                     tire.cornering_stiffness(pset.rear), beta)
+                     tire.cornering_stiffness(P[:6]),
+                     tire.cornering_stiffness(P[6:]), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +518,11 @@ class Estimator:
 
     def __init__(self, cfg: VehicleConfig,
                  settings: SolverCfg | None = None,
-                 p_init: TireParamSet | None = None):
+                 p_init: np.ndarray | None = None):
         self.cfg = cfg
         self.settings = settings or cfg.solver
         self.window = SlidingWindow(cfg)
-        P0 = (p_init or cfg.initial_params).as_array()
+        P0 = cfg.initial_params if p_init is None else p_init
         self.P = np.clip(P0, cfg.bounds.full_min(), cfg.bounds.full_max())
         self.rows: list[OutputRow] = []
         self.reports: list[SolveReport] = []
@@ -595,11 +589,13 @@ class Estimator:
         self._standstill = zupt.update_standstill(prev, speed, comp, ev.t,
                                                   self.cfg)
         if self._standstill.stationary and not prev.stationary:
-            self._enter_standstill(ev.t)
+            self._enter_standstill()
 
-    def _enter_standstill(self, t: float) -> None:
-        horizon = self.cfg.thresholds.T_stop + 1e-6
-        samples = [s for s in self._imu_buffer if s.t >= t - horizon]
+    def _enter_standstill(self) -> None:
+        # from the start of the detector's run, which spans T_stop at any
+        # IMU sample spacing
+        samples = [s for s in self._imu_buffer
+                   if s.t >= self._standstill.since]
         # estimated under the level assumption too: a window too short for
         # an attitude leaves this standstill without ZUPT targets
         try:
@@ -715,7 +711,7 @@ class Estimator:
 
 def replay_events(events, cfg: VehicleConfig,
                   settings: SolverCfg | None = None,
-                  p_init: TireParamSet | None = None) -> Estimator:
+                  p_init: np.ndarray | None = None) -> Estimator:
     """Run the estimator over an iterable of events in arrival order.
 
     Cyclic garbage collection is paused during the replay; the estimator

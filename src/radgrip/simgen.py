@@ -21,7 +21,6 @@ import numpy as np
 from radgrip import tire
 from radgrip.core import (ImuSample, RadarExtrinsics, RadarPoint, RadarScan,
                           RangeError, ReferenceVelocity, SteeringSample,
-                          TireParamSet, PacejkaAxleParams,
                           TruthDivergenceError, VehicleConfig, event_time)
 from radgrip.radar import body_projection, bearing_vectors
 
@@ -209,7 +208,7 @@ class TruthTrajectory:
         return min(max(i, 0), len(self.t) - 1)
 
 
-def simulate_truth(script: ManeuverScript, P_truth: TireParamSet,
+def simulate_truth(script: ManeuverScript, P_truth: np.ndarray,
                    cfg: VehicleConfig, dt_sim: float = 5e-4
                    ) -> TruthTrajectory:
     """Integrate the single-track truth dynamics over the script.
@@ -252,8 +251,7 @@ def simulate_truth(script: ManeuverScript, P_truth: TireParamSet,
     Fyr = np.zeros(n)
     af = np.zeros(n)
     ar = np.zeros(n)
-    pf = P_truth.front.as_array()
-    pr = P_truth.rear.as_array()
+    pf, pr = P_truth[:6], P_truth[6:]
 
     vy_k = 0.0
     r_k = 0.0
@@ -384,7 +382,7 @@ def gen_radar_scan(truth: TruthTrajectory, t_capture: float,
                      float(t_capture + latency), points)
 
 
-def run_scenario(script: ManeuverScript, P_truth: TireParamSet,
+def run_scenario(script: ManeuverScript, P_truth: np.ndarray,
                  noise: NoiseConfig, cfg: VehicleConfig,
                  dt_sim: float = 5e-4, imu_rate: float = 200.0,
                  steer_rate: float = 100.0, ref_rate: float = 100.0,
@@ -430,23 +428,23 @@ def run_scenario(script: ManeuverScript, P_truth: TireParamSet,
 # Presets
 # ---------------------------------------------------------------------------
 
-P_TRUTH_DEFAULT = TireParamSet(
-    front=PacejkaAxleParams(10.5, 1.65, 0.92, 0.20, 0.0, 0.0),
-    rear=PacejkaAxleParams(12.0, 1.60, 0.98, 0.10, 0.0, 0.0))
+# [B, C, D, E, Sh, Sv] front, then rear
+P_TRUTH_DEFAULT = np.array([10.5, 1.65, 0.92, 0.20, 0.0, 0.0,
+                            12.0, 1.60, 0.98, 0.10, 0.0, 0.0])
 
 
-def _scaled_grip(pset: TireParamSet, factor: float) -> TireParamSet:
-    f = pset.front
-    r = pset.rear
-    return TireParamSet(replace(f, D=f.D * factor),
-                        replace(r, D=r.D * factor))
+def _scaled_grip(p: np.ndarray, factor: float) -> np.ndarray:
+    """p with both axles' peak factor D scaled."""
+    p = p.copy()
+    p[[2, 8]] *= factor
+    return p
 
 
 @dataclass
 class ScenarioSpec:
     name: str
     script: ManeuverScript
-    p_truth: TireParamSet
+    p_truth: np.ndarray
     noise: NoiseConfig
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from radgrip.core import PacejkaAxleParams, VehicleConfig
+from radgrip.core import VehicleConfig
 
 # the inertial split divides by cos(delta); lateral-force rows and outputs
 # are gated far before it vanishes, beyond any physical steering range
@@ -156,6 +156,7 @@ def lateral_force_jacobian(X, ax_meas, delta, P, w, cfg: VehicleConfig):
     return dX, dP
 
 
-def cornering_stiffness(p: PacejkaAxleParams) -> float:
-    """Slope of the normalized lateral curve at zero effective slip."""
-    return p.B * p.C * p.D
+def cornering_stiffness(p: np.ndarray) -> float:
+    """Slope of the normalized lateral curve at zero effective slip, for
+    one axle's p = [B, C, D, E, Sh, Sv]."""
+    return float(p[0] * p[1] * p[2])

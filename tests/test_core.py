@@ -1,14 +1,17 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+import yaml
 
+from radgrip import cli
 from radgrip.core import (ConfigError, ImuSample, ParseError, RadarScan,
                           RangeError, ReferenceVelocity, SchemaError,
-                          SteeringSample, default_config, load_config,
-                          parse_event, serialize_event, validate_config,
-                          VehicleConfig)
+                          SteeringSample, config_hash, config_to_dict,
+                          default_config, load_config, parse_event,
+                          serialize_event, validate_config, VehicleConfig)
 
 
 def test_parse_zero_imu_record():
@@ -153,3 +156,77 @@ def test_load_config_unknown_key(tmp_path):
     path.write_text("mass: 750.0\n")
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+def _one_radar(**entry) -> str:
+    """A config whose radars list holds one entry with a valid rotation and
+    translation plus ``entry``."""
+    entry = {"rotation": np.eye(3).tolist(), "translation": [2.0, 0.0, 0.2],
+             **entry}
+    return yaml.safe_dump({"radars": [entry]})
+
+
+_NAN_ROTATION = [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("text, field", [
+    ("thresholds:\n  dt: abc\n", "thresholds.dt"),
+    ("covariances:\n  Sigma_Fy: [1.0, abc]\n", "covariances.Sigma_Fy"),
+    ("thresholds: 5\n", "thresholds"),
+    ("solver:\n  max_iter: 3\n", "solver.max_iter"),
+    ("radars: 5\n", "radars"),
+    ("solver:\n  max_iterations: 2.7\n", "solver.max_iterations"),
+    ('assume_level_standstill: "false"\n', "assume_level_standstill"),
+    ("m: true\n", "m"),
+    (_one_radar(), "radars[0].nyquist"),
+    ("initial_params:\n  front: [9.0, 1.5, 0.8, 0.0, 0.0, 0.0]\n"
+     "  rear: [9.0, 1.5, 0.8, 0.0, 0.0, 0.0]\n", "initial_params"),
+    ("initial_params: [9.0, 1.5, 0.8]\n", "initial_params"),
+    (_one_radar(rotation=_NAN_ROTATION, nyquist=26.5), "radars[0].rotation"),
+    (_one_radar(nyquist=26.5, fov_azimuth=math.nan), "radars[0].fov"),
+], ids=["non_numeric_leaf", "non_numeric_array_entry", "non_mapping_section",
+        "unknown_nested_key", "non_list_radars", "non_integral_int",
+        "string_bool", "bool_for_a_float", "missing_radar_key",
+        "old_initial_params_form", "short_initial_params", "nan_rotation",
+        "nan_fov"])
+def test_config_fault_names_its_field(tmp_path, capsys, text, field):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}(:|$)"):
+        load_config(str(path))
+    log = tmp_path / "log.jsonl"
+    log.write_text(serialize_event(ImuSample(0.0, 0.0, 0.0, 0.0)) + "\n")
+    assert cli.main(["estimate", str(log), "--config", str(path),
+                     "--out", str(tmp_path / "est.csv")]) == 2
+    assert re.search(rf"^error: {re.escape(field)}(:|$)",
+                     capsys.readouterr().err, re.M)
+
+
+def _every_section_changed() -> VehicleConfig:
+    cfg = VehicleConfig()
+    cfg.m = 650.0
+    cfg.assume_level_standstill = False
+    cfg.initial_biases = np.array([0.01, -0.02, 0.003])
+    cfg.initial_params[[0, 6]] = (11.0, 13.0)
+    cfg.radars = cfg.radars[:2]
+    cfg.radars[1].rotation = np.diag([-1.0, -1.0, 1.0])
+    cfg.radars[1].fov_azimuth = 0.6
+    cfg.thresholds.dt = 0.005
+    cfg.covariances.Sigma_w = cfg.covariances.Sigma_w * 2.0
+    cfg.covariances.sigma_doppler = 0.25
+    cfg.bounds.P_max[0] = 35.0
+    cfg.solver.max_iterations = 5
+    return validate_config(cfg)
+
+
+@pytest.mark.parametrize("cfg", [default_config(), _every_section_changed()],
+                         ids=["defaults", "every_section_changed"])
+def test_config_to_dict_round_trips_through_yaml(tmp_path, cfg):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(config_to_dict(cfg)))
+    assert config_hash(load_config(str(path))) == config_hash(cfg)
+
+
+def test_changed_config_hashes_differently():
+    assert config_hash(_every_section_changed()) != config_hash(
+        default_config())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radgrip.core import (ImuSample, InputSample, RadarPoint, RadarScan,
-                          SteeringSample, TireParamSet, WindowOrderError,
+                          SteeringSample, WindowOrderError,
                           default_config)
 from radgrip.mhe import (Estimator, SlidingWindow, SolveReport,
                          WindowProblem, estimate_outputs, replay_events,
@@ -42,7 +42,7 @@ def _cruise_window(vx=15.0, n=15, with_scans=3):
     for k in range(1, n):
         win.push_state(k * DT, _zero_input(k * DT))
     win.prior_x = win.X[0].copy()
-    win.prior_P = P_TRUTH_DEFAULT.as_array()
+    win.prior_P = P_TRUTH_DEFAULT.copy()
     rng = np.random.default_rng(0)
     for s in range(with_scans):
         t_cap = win.newest_t() - 0.0205 * (s + 1) - 0.0032
@@ -113,7 +113,7 @@ def test_solve_cost_never_increases():
 
 def test_solve_clamps_params_into_box():
     win = _cruise_window()
-    crazy = P_TRUTH_DEFAULT.as_array().copy()
+    crazy = P_TRUTH_DEFAULT.copy()
     crazy[0] = 500.0   # B outside the box
     crazy[3] = -20.0   # E outside the box
     P_new, _, _ = solve(win, crazy, CFG.solver, CFG)
@@ -138,7 +138,7 @@ def test_shift_span_arithmetic():
     for k in range(1, 18):
         win.push_state(k * DT, _zero_input(k * DT))
     assert win.span() == pytest.approx(0.17)
-    evicted_t, _, _ = win.shift(P_TRUTH_DEFAULT.as_array())
+    evicted_t, _, _ = win.shift(P_TRUTH_DEFAULT)
     assert len(evicted_t) == 2
     assert win.span() == pytest.approx(0.15)
 
@@ -150,7 +150,7 @@ def test_shift_refreshes_priors_and_drops_factors():
     _attach(win, RadarScan(0, win.oldest_t() + 0.0052, win.newest_t(),
                            tuple(pts)))
     assert len(win.dop) == 1
-    P_new = P_TRUTH_DEFAULT.as_array() * 1.01
+    P_new = P_TRUTH_DEFAULT * 1.01
     win.shift(P_new)
     assert len(win.dop) == 0
     assert np.allclose(win.prior_x, win.X[0])
@@ -165,7 +165,7 @@ def test_window_problem_jacobian_matches_fd():
         u[:] = (rng.normal(0, 1), rng.normal(0, 1), rng.normal(0, 0.1),
                 rng.normal(0, 0.05))
     win.zv[3] = (0.01, -0.02, 0.001)
-    problem = WindowProblem(win, P_TRUTH_DEFAULT.as_array(), CFG)
+    problem = WindowProblem(win, P_TRUTH_DEFAULT, CFG)
     z = problem.z_init()
     J = problem.jacobian(z).copy()
     for j in range(problem.nvar):
@@ -262,8 +262,7 @@ def test_estimate_outputs_straight_running():
     assert row.Fyf == pytest.approx(0.0, abs=1e-9)
     assert row.alpha_f == pytest.approx(0.0, abs=1e-12)
     assert row.BCD_f == pytest.approx(
-        P_TRUTH_DEFAULT.front.B * P_TRUTH_DEFAULT.front.C
-        * P_TRUTH_DEFAULT.front.D)
+        P_TRUTH_DEFAULT[0] * P_TRUTH_DEFAULT[1] * P_TRUTH_DEFAULT[2])
 
 
 def test_estimate_outputs_below_gate_emits_nulls():

@@ -111,7 +111,7 @@ def test_process_residual_whitening():
     win.push_state(0.01, u)
     win.ensure_state_at(0.015, u)
     win.X[1:, 0] += 0.1
-    problem = WindowProblem(win, cfg.initial_params.as_array(), cfg)
+    problem = WindowProblem(win, cfg.initial_params, cfg)
     res = problem.residuals(problem.z_init())[problem.slices["process"]]
     res = res.reshape(2, 6)
     assert res[0, 0] == pytest.approx(1.0)
@@ -140,7 +140,7 @@ def test_nonfinite_state_raises_numeric_error():
     win.seed(0.0, u)
     win.push_state(0.01, u)
     win.X[0, 0] = float("nan")
-    problem = WindowProblem(win, cfg.initial_params.as_array(), cfg)
+    problem = WindowProblem(win, cfg.initial_params, cfg)
     with pytest.raises(NumericError, match="prior_state"):
         problem.check_finite(problem.residuals(problem.z_init()))
 

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from radgrip.core import (InputSample, PacejkaAxleParams, TireParamSet,
-                          default_config)
+from radgrip.core import InputSample, default_config
 from radgrip.mhe import SlidingWindow, WindowProblem, estimate_outputs
 from radgrip.tire import (cornering_stiffness, force_gate, force_slip,
                           lateral_force_residual, magic_formula_derivs,
@@ -103,27 +102,27 @@ def test_nonpositive_load_forms_no_lateral_force_rows():
     assert vertical_loads(30.0, 100.0, CFG)[0] < 0.0
     assert not force_gate(30.0, 0.0, 100.0, 0.0, CFG)
     problem = WindowProblem(_window(30.0, ax=100.0),
-                            CFG.initial_params.as_array(), CFG)
+                            CFG.initial_params, CFG)
     assert len(problem.fy_idx) == 0
     assert len(WindowProblem(_window(30.0, ax=10.0),
-                             CFG.initial_params.as_array(), CFG).fy_idx) == 2
+                             CFG.initial_params, CFG).fy_idx) == 2
 
 
-P_EX = PacejkaAxleParams(10.0, 1.9, 1.0, 0.97, 0.0, 0.0)
+P_EX = np.array([10.0, 1.9, 1.0, 0.97, 0.0, 0.0])
 
 
 def test_magic_formula_zero_at_origin():
-    assert magic_formula_values(0.0, P_EX.as_array()) == 0.0
+    assert magic_formula_values(0.0, P_EX) == 0.0
 
 
 def test_magic_formula_shift_identity():
-    p = PacejkaAxleParams(8.0, 1.5, 0.9, 0.3, 0.04, 0.12)
-    assert magic_formula_values(-p.Sh, p.as_array()) == pytest.approx(p.Sv)
+    p = np.array([8.0, 1.5, 0.9, 0.3, 0.04, 0.12])
+    assert magic_formula_values(-p[4], p) == pytest.approx(p[5])
 
 
 def test_magic_formula_pinned_value():
     # independent high-precision evaluation, frozen before the build
-    assert magic_formula_values(0.08, P_EX.as_array()) == pytest.approx(
+    assert magic_formula_values(0.08, P_EX) == pytest.approx(
         0.9055539862080681, abs=1e-14)
 
 
@@ -140,12 +139,11 @@ def test_magic_formula_odd_symmetry():
 def test_small_angle_slope_is_bcd():
     rng = np.random.default_rng(12)
     for _ in range(30):
-        p = PacejkaAxleParams(rng.uniform(2, 30), rng.uniform(0.6, 3),
-                              rng.uniform(0.5, 3), rng.uniform(-3, 0.9),
-                              rng.uniform(-0.05, 0.05), 0.0)
+        p = np.array([rng.uniform(2, 30), rng.uniform(0.6, 3),
+                      rng.uniform(0.5, 3), rng.uniform(-3, 0.9),
+                      rng.uniform(-0.05, 0.05), 0.0])
         h = 1e-7
-        y = magic_formula_values(np.array([-p.Sh + h, -p.Sh - h]),
-                                 p.as_array())
+        y = magic_formula_values(np.array([-p[4] + h, -p[4] - h]), p)
         slope = (y[0] - y[1]) / (2 * h)
         bcd = cornering_stiffness(p)
         assert slope == pytest.approx(bcd, rel=1e-6)
@@ -175,15 +173,14 @@ def test_magic_formula_derivs_match_fd():
 
 
 def test_model_forces_zero_slip():
-    P = TireParamSet(PacejkaAxleParams(10, 1.9, 1.0, 0.5, 0.0, 0.0),
-                     PacejkaAxleParams(12, 1.7, 1.0, 0.5, 0.0, 0.0))
-    Fyf, Fyr = model_lateral_forces(_x(50.0), 0.0, 0.0, P.as_array(), CFG)
+    P = np.array([10, 1.9, 1.0, 0.5, 0.0, 0.0, 12, 1.7, 1.0, 0.5, 0.0, 0.0])
+    Fyf, Fyr = model_lateral_forces(_x(50.0), 0.0, 0.0, P, CFG)
     assert Fyf == pytest.approx(0.0)
     assert Fyr == pytest.approx(0.0)
 
 
 def test_model_forces_scale_with_load():
-    P = TireParamSet(P_EX, P_EX).as_array()
+    P = np.concatenate([P_EX, P_EX])
     X = np.stack([_x(20.0, vy=0.5, r=0.1), _x(25.0, vy=-0.3, r=0.05)])
     doubled = default_config()
     doubled.m = 2 * CFG.m
@@ -218,12 +215,12 @@ def test_measured_forces_steering_domain():
         True, True, False, False]
     assert len(WindowProblem(_window(30.0, delta=math.radians(85.0),
                                      cfg=EX),
-                             EX.initial_params.as_array(), EX).fy_idx) == 0
+                             EX.initial_params, EX).fy_idx) == 0
 
 
 def test_residual_zero_when_consistent():
     # build a state/param pair whose model force equals the static split
-    P = TireParamSet(P_EX, P_EX).as_array()
+    P = np.concatenate([P_EX, P_EX])
     x = _x(30.0, vy=-0.5, r=0.15)
     Fyf, Fyr = model_lateral_forces(x, 0.0, 0.0, P, CFG)
     ay = (Fyf + Fyr) / CFG.m
@@ -241,18 +238,18 @@ def test_residual_zero_when_consistent():
 def test_residual_gated_out():
     # below the speed gate the window carries no lateral-force rows
     problem = WindowProblem(_window(3.0, ay=1.0),
-                            CFG.initial_params.as_array(), CFG)
+                            CFG.initial_params, CFG)
     assert len(problem.fy_idx) == 0
     assert problem.slices["lateral_force"].stop \
         == problem.slices["lateral_force"].start
     problem = WindowProblem(_window(30.0, ay=1.0),
-                            CFG.initial_params.as_array(), CFG)
+                            CFG.initial_params, CFG)
     assert problem.fy_idx.tolist() == [0, 1]
 
 
 def test_residual_sign_under_d_inflation():
     # inflating front D at a positive-curve-value state lowers the residual
-    P = TireParamSet(P_EX, P_EX).as_array()
+    P = np.concatenate([P_EX, P_EX])
     x = _x(30.0, vy=-1.5, r=0.0)  # force_slip(alpha_f) > 0 so Y > 0
     assert magic_formula_values(
         force_slip(slip_angles(30.0, -1.5, 0.0, 0.0, CFG)[0]), P[:6]) > 0
@@ -264,9 +261,9 @@ def test_residual_sign_under_d_inflation():
 
 
 def test_cornering_stiffness():
-    assert cornering_stiffness(PacejkaAxleParams(10, 1.9, 1.0, 0, 0, 0)) \
+    assert cornering_stiffness(np.array([10, 1.9, 1.0, 0, 0, 0])) \
         == pytest.approx(19.0)
-    assert cornering_stiffness(PacejkaAxleParams(10, 1.9, 0.0, 0, 0, 0)) == 0
-    a = cornering_stiffness(PacejkaAxleParams(10, 1.9, 1.2, 0, 0, 0))
-    b = cornering_stiffness(PacejkaAxleParams(20, 1.9, 1.2, 0, 0, 0))
+    assert cornering_stiffness(np.array([10, 1.9, 0.0, 0, 0, 0])) == 0
+    a = cornering_stiffness(np.array([10, 1.9, 1.2, 0, 0, 0]))
+    b = cornering_stiffness(np.array([20, 1.9, 1.2, 0, 0, 0]))
     assert b == pytest.approx(2 * a)

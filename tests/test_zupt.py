@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from radgrip import simgen
 from radgrip.core import (ImuSample, InsufficientDataError, RadarPoint,
-                          RadarScan, default_config)
-from radgrip.mhe import Estimator
+                          RadarScan, ReferenceVelocity, SteeringSample,
+                          default_config, event_time)
+from radgrip.mhe import Estimator, replay_events
 from radgrip.zupt import (AttitudeEstimate, INITIAL_STANDSTILL,
                           accel_magnitude_deviation, estimate_attitude,
                           gravity_compensate, level_attitude,
@@ -147,6 +150,34 @@ def test_zupt_targets_on_pitched_rest_equal_biases():
     targets = zv[~np.isnan(zv[:, 0])]
     assert est.counters["zv_states"] > 0 and len(targets)
     assert np.allclose(targets, [0.0, 0.0, br], rtol=0.0, atol=2e-3)
+
+
+@pytest.mark.parametrize("imu_time", [
+    lambda k, t, rng: k * 0.0049,
+    lambda k, t, rng: max(0.0, t + rng.uniform(-4e-4, 4e-4)),
+], ids=["period_4.9ms", "jitter_0.4ms"])
+def test_standstill_gets_zupt_with_imu_off_the_grid(imu_time):
+    # the detector's run can exceed T_stop by up to one IMU period, so an
+    # attitude window cut at T_stop before the entry sample spans less
+    # than T_stop once the samples leave the 5 ms grid
+    cfg = default_config()
+    spec = simgen.make_scenario("standstill", cfg, seed=0)
+    events, _ = simgen.run_scenario(spec.script, spec.p_truth, spec.noise,
+                                    cfg)
+    rng = np.random.default_rng(1)
+    imu = [ev for ev in events if isinstance(ev, ImuSample)]
+    events = [ev for ev in events if not isinstance(ev, ImuSample)] + [
+        replace(ev, t=imu_time(k, ev.t, rng)) for k, ev in enumerate(imu)]
+    rank = {SteeringSample: 0, ImuSample: 1, ReferenceVelocity: 2,
+            RadarScan: 3}
+    events.sort(key=lambda ev: (event_time(ev), rank[type(ev)]))
+    # the standstill begins after T_stop = 1 s; half a second of ZUPT
+    # states pins the biases
+    est = replay_events([ev for ev in events if event_time(ev) <= 1.5], cfg)
+    assert est.counters["zv_states"] > 0
+    last = est.rows[-1]
+    assert last.bx == pytest.approx(spec.noise.imu_accel_bias[0], abs=0.02)
+    assert last.by == pytest.approx(spec.noise.imu_accel_bias[1], abs=0.02)
 
 
 def test_gravity_compensate_linear():

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,8 @@ def read_events(path: str):
 
 
 def solve_time_stats(reports) -> dict:
+    """Wall-time statistics, the largest iteration count and the
+    termination histogram of a sequence of solve reports."""
     if not reports:
         return {"count": 0}
     wt = np.array([r.wall_time for r in reports])
@@ -119,6 +122,7 @@ def solve_time_stats(reports) -> dict:
         "p99_ms": float(np.percentile(wt, 99) * 1e3),
         "max_ms": float(wt.max() * 1e3),
         "max_iterations": int(its.max()),
+        "terminations": dict(Counter(r.termination for r in reports)),
     }
 
 
@@ -303,45 +307,40 @@ def cmd_metrics(est_csv: str, truth_csv: str, config_path: str | None,
 
 def cmd_bench(log_path: str, config_path: str | None,
               repetitions: int) -> dict:
-    """Re-run the estimation pipeline, timing every solve."""
+    """Re-run the estimation pipeline, timing every solve.  Raises
+    EstimatorError naming the first solve whose final cost differs between
+    repetitions: the estimate must not depend on the clock or the load."""
     if repetitions < 1:
         raise UsageError("repetitions must be >= 1")
     cfg = load_config(config_path)
     events = list(read_events(log_path))
-    wall = []
-    costs = None
-    costs_identical = True
-    tick_means = []
+    reports, costs, tick_means = [], [], []
     for _ in range(repetitions):
         t0 = time.perf_counter()
         est = mhe.replay_events(events, cfg)
-        total = time.perf_counter() - t0
-        wall.extend(r.wall_time for r in est.reports)
-        run_costs = [r.final_cost for r in est.reports]
-        if costs is None:
-            costs = run_costs
-        elif run_costs != costs:
-            costs_identical = False
-        tick_means.append(total / max(len(est.rows), 1))
-    wt = np.array(wall)
+        tick_means.append((time.perf_counter() - t0) / max(len(est.rows), 1))
+        reports.extend(est.reports)
+        costs.append([r.final_cost for r in est.reports])
+    st = solve_time_stats(reports)
     out = {
         "repetitions": repetitions,
-        "solves_per_rep": len(costs or []),
-        "per_solve_ms": {
-            "mean": float(wt.mean() * 1e3),
-            "p50": float(np.percentile(wt, 50) * 1e3),
-            "p99": float(np.percentile(wt, 99) * 1e3),
-            "max": float(wt.max() * 1e3),
-        },
+        "solves_per_rep": len(costs[0]),
+        "solve_time": st,
         "per_tick_mean_ms": float(np.mean(tick_means) * 1e3),
-        "costs_identical_across_reps": costs_identical,
     }
-    ps = out["per_solve_ms"]
-    print(f"{len(wt)} solves over {repetitions} reps: "
-          f"mean {ps['mean']:.3f} ms, p50 {ps['p50']:.3f} ms, "
-          f"p99 {ps['p99']:.3f} ms, max {ps['max']:.3f} ms")
-    print(f"per-tick mean {out['per_tick_mean_ms']:.3f} ms; "
-          f"cost trajectory identical across reps: {costs_identical}")
+    if st["count"]:
+        print(f"{st['count']} solves over {repetitions} reps: "
+              f"mean {st['mean_ms']:.3f} ms, p50 {st['p50_ms']:.3f} ms, "
+              f"p99 {st['p99_ms']:.3f} ms, max {st['max_ms']:.3f} ms; "
+              f"terminations {st['terminations']}")
+    print(f"per-tick mean {out['per_tick_mean_ms']:.3f} ms")
+    for rep, run in enumerate(costs[1:], start=1):
+        if run != costs[0]:
+            i = next((i for i, (a, b) in enumerate(zip(costs[0], run))
+                      if a != b), min(len(run), len(costs[0])))
+            raise EstimatorError(
+                f"cost trajectories differ across repetitions: solve {i} "
+                f"of repetition {rep} differs from repetition 0")
     return out
 
 

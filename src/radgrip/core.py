@@ -218,11 +218,10 @@ class ParamBounds:
 
 @dataclass
 class SolverCfg:
-    max_iterations: int = 3
-    max_time: float = 0.008         # wall-clock cap per solve (s)
-    lm_lambda_init: float = 1e-4
-    gradient_tol: float = 1e-9
-    step_tol: float = 1e-12
+    """At most max_iterations Gauss-Newton steps per window solve (one is
+    the iterated-EKF update): the work per solve is bounded by construction."""
+
+    max_iterations: int = 1
     cauchy_scale: float = 1.0       # on whitened Doppler residuals
 
 
@@ -404,6 +403,8 @@ def validate_config(cfg: VehicleConfig) -> VehicleConfig:
         if not (isinstance(v, (int, float)) and math.isfinite(v)):
             raise ConfigError(name)
     th = cfg.thresholds
+    if not math.isfinite(th.snr_min):
+        raise ConfigError("thresholds.snr_min")
     if not (th.dt > 0 and math.isfinite(th.dt)):
         raise ConfigError("thresholds.dt")
     if not (th.dTw > 0 and math.isfinite(th.dTw)):
@@ -427,8 +428,10 @@ def validate_config(cfg: VehicleConfig) -> VehicleConfig:
     if not (math.isfinite(cov.sigma_doppler) and cov.sigma_doppler > 0):
         raise ConfigError("covariances.sigma_doppler")
     b = cfg.bounds
-    if b.P_min.shape != (6,) or b.P_max.shape != (6,):
-        raise ConfigError("bounds")
+    for name in ("P_min", "P_max"):
+        arr = getattr(b, name)
+        if arr.shape != (6,) or not np.all(np.isfinite(arr)):
+            raise ConfigError(f"bounds.{name}")
     if np.any(b.P_min > b.P_max):
         raise ConfigError("bounds.P_min")
     if cfg.initial_biases.shape != (3,) or not np.all(
@@ -440,8 +443,8 @@ def validate_config(cfg: VehicleConfig) -> VehicleConfig:
     s = cfg.solver
     if s.max_iterations < 1:
         raise ConfigError("solver.max_iterations")
-    if not (s.max_time > 0):
-        raise ConfigError("solver.max_time")
+    if not (math.isfinite(s.cauchy_scale) and s.cauchy_scale > 0):
+        raise ConfigError("solver.cauchy_scale")
     if not cfg.radars:
         raise ConfigError("radars")
     for i, ext in enumerate(cfg.radars):

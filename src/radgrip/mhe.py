@@ -10,12 +10,13 @@ instant falls between grid states.  The full problem is solved when a scan
 contributes at least one gated-in row, after which the window sheds its
 oldest rows and priors are refreshed from the newest estimates.
 
-The solver is a small Levenberg-Marquardt on the dense window problem: it
-builds the full Jacobian (a block-tridiagonal state chain plus one dense
-tire-parameter column, stored dense), the dense normal matrix J^T J and a
-dense Cholesky factor every iteration.  Tire parameters are kept inside
-their box by clamping trial steps; Doppler rows carry a Cauchy robust loss,
-everything else is quadratic.
+The solver takes at most solver.max_iterations (default 1) Gauss-Newton
+steps on the dense window problem, so the estimate never depends on the
+clock.  Each step builds the dense Jacobian (a block-tridiagonal state
+chain plus one tire-parameter column), J^T J and its Cholesky factor.
+Tire parameters are clamped into their box, and a step is kept only if it
+lowers the cost.  Doppler rows carry a Cauchy robust loss, everything else
+is quadratic.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from radgrip import motion, tire, zupt
 from radgrip import radar as radar_mod
 from radgrip.core import (EstimatorError, ImuSample, InputSample,
                           NumericError, RadarScan, ReferenceVelocity,
-                          SolverCfg, StaleEventError, StaleScanError,
-                          SteeringSample, VehicleConfig, WindowOrderError,
-                          event_time)
+                          StaleEventError, StaleScanError, SteeringSample,
+                          VehicleConfig, WindowOrderError, event_time)
 from radgrip.motion import predict_array
 
 _T_EPS = 1e-9
@@ -357,76 +357,46 @@ class SolveReport:
     n_doppler: int = 0
 
 
-def solve_problem(problem: WindowProblem, settings: SolverCfg,
-                  lam: float | None = None
-                  ) -> tuple[np.ndarray, SolveReport, float]:
-    """Levenberg-Marquardt with clamped parameter box.
+def solve_problem(problem: WindowProblem) -> tuple[np.ndarray, SolveReport]:
+    """At most cfg.solver.max_iterations Gauss-Newton steps, each solving
+    J^T J delta = -J^T r with the Doppler rows reweighted by their Cauchy
+    weights and the tire parameters clamped into their box.
 
-    Every trial step (accepted or rejected) counts toward the iteration
-    cap; the wall-clock cap returns the last accepted iterate.  The cost
-    never increases.  Returns (z, report, damping) with the damping carried
-    to the next solve as a warm start.
+    A step is kept only if it lowers the cost.  The first that does not
+    (non-finite residuals count as not lowering it) ends the solve on the
+    current iterate with termination "no_decrease"; a singular normal
+    matrix ends it with "singular".  The state and parameter priors make
+    J^T J positive definite, so no damping is applied.  One step is the
+    iterated-EKF update.  Returns (z, report).
     """
     t_start = time.perf_counter()
-    if lam is None:
-        lam = settings.lm_lambda_init
     z = problem.clamp(problem.z_init())
     r = problem.residuals(z).copy()
     problem.check_finite(r)
-    cost = problem.cost(r)
-    initial_cost = cost
-    iters = 0
-    term = None
+    cost = initial_cost = problem.cost(r)
     dop = problem.slices["doppler"]
-    diag_ix = np.arange(problem.nvar)
-
-    while term is None:
-        if iters >= settings.max_iterations:
-            term = "max_iterations"
-            break
-        if time.perf_counter() - t_start > settings.max_time:
-            term = "max_time"
-            break
-        # robust reweighting applied in place to the Doppler rows only
+    term = "max_iterations"
+    for iters in range(1, problem.cfg.solver.max_iterations + 1):
         J = problem.jacobian(z)
         rw = r.copy()
         wd = cauchy_weights(r[dop], problem.cauchy)
         J[dop] *= wd[:, None]
         rw[dop] *= wd
-        g = J.T @ rw
-        if np.abs(g).max() < settings.gradient_tol:
-            term = "gradient_tol"
+        try:
+            delta = cho_solve(
+                cho_factor(J.T @ J, lower=True, check_finite=False),
+                -(J.T @ rw), check_finite=False)
+        except np.linalg.LinAlgError:
+            term = "singular"
             break
-        A = J.T @ J
-        D = np.maximum(A[diag_ix, diag_ix], 1e-12)
-        while term is None:
-            iters += 1
-            A_damped = A.copy()
-            A_damped[diag_ix, diag_ix] += lam * D
-            try:
-                delta = cho_solve(
-                    cho_factor(A_damped, lower=True, check_finite=False),
-                    -g, check_finite=False)
-            except np.linalg.LinAlgError:
-                delta = None
-            if delta is not None:
-                z_new = problem.clamp(z + delta)
-                r_new = problem.residuals(z_new)
-                cost_new = problem.cost(r_new) if np.all(
-                    np.isfinite(r_new)) else np.inf
-                if cost_new < cost:
-                    step = float(np.linalg.norm(z_new - z))
-                    z, r, cost = z_new, r_new.copy(), cost_new
-                    lam = max(lam / 3.0, 1e-10)
-                    if step < settings.step_tol * (np.linalg.norm(z)
-                                                   + settings.step_tol):
-                        term = "step_tol"
-                    break
-            lam = min(lam * 10.0, 1e8)
-            if iters >= settings.max_iterations:
-                term = "max_iterations"
-            elif time.perf_counter() - t_start > settings.max_time:
-                term = "max_time"
+        z_new = problem.clamp(z + delta)
+        r_new = problem.residuals(z_new)
+        cost_new = problem.cost(r_new) if np.all(
+            np.isfinite(r_new)) else np.inf
+        if not cost_new < cost:
+            term = "no_decrease"
+            break
+        z, r, cost = z_new, r_new.copy(), cost_new
 
     report = SolveReport(
         iterations=iters,
@@ -438,21 +408,19 @@ def solve_problem(problem: WindowProblem, settings: SolverCfg,
         n_states=problem.K,
         n_doppler=len(problem.dop_idx),
     )
-    return z, report, lam
+    return z, report
 
 
 def solve(window: SlidingWindow, P_current: np.ndarray,
-          settings: SolverCfg, cfg: VehicleConfig,
-          lam: float | None = None
-          ) -> tuple[np.ndarray, SolveReport, float]:
-    """Solve the window in place: window.X becomes the refined states.
-    Returns (P, report, damping) with P the refined tire parameters and
-    the damping to warm-start the next solve."""
+          cfg: VehicleConfig) -> tuple[np.ndarray, SolveReport]:
+    """Solve the window in place with solve_problem: window.X becomes the
+    refined states.  Returns (P, report) with P the refined tire
+    parameters."""
     problem = WindowProblem(window, P_current, cfg)
-    z, report, lam_out = solve_problem(problem, settings, lam)
+    z, report = solve_problem(problem)
     K = problem.K
     window.X = z[:6 * K].reshape(K, 6).copy()
-    return z[6 * K:].copy(), report, lam_out
+    return z[6 * K:].copy(), report
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +484,8 @@ class Estimator:
     it left the window.
     """
 
-    def __init__(self, cfg: VehicleConfig,
-                 settings: SolverCfg | None = None,
-                 p_init: np.ndarray | None = None):
+    def __init__(self, cfg: VehicleConfig, p_init: np.ndarray | None = None):
         self.cfg = cfg
-        self.settings = settings or cfg.solver
         self.window = SlidingWindow(cfg)
         P0 = cfg.initial_params if p_init is None else p_init
         self.P = np.clip(P0, cfg.bounds.full_min(), cfg.bounds.full_max())
@@ -531,6 +496,7 @@ class Estimator:
             "stale_scans": 0, "stale_events": 0, "doppler_accepted": 0,
             "doppler_rejected": 0, "zv_states": 0, "solves": 0,
             "watchdog_solves": 0, "delta_clamped": 0,
+            "unknown_radar_scans": 0,
         }
         self._imu_buffer: deque[ImuSample] = deque()
         self._input_hist: deque[InputSample] = deque()
@@ -541,7 +507,6 @@ class Estimator:
         self._have_fix = False
         self._next_grid_t: float | None = None
         self._last_solve_t: float | None = None
-        self._lam = self.settings.lm_lambda_init
 
     # -- input bookkeeping ------------------------------------------------
 
@@ -611,7 +576,13 @@ class Estimator:
     # -- event ingestion ---------------------------------------------------
 
     def attach(self, ev) -> bool:
-        """Route one event into the window; True when a solve is due."""
+        """Route one event into the window; True when a solve is due.  A
+        scan from a radar the config does not list is counted and dropped
+        before it touches any state, as if it were not logged."""
+        if (isinstance(ev, RadarScan)
+                and not 0 <= ev.radar_id < len(self.cfg.radars)):
+            self.counters["unknown_radar_scans"] += 1
+            return False
         t_ev = event_time(ev)
         if not len(self.window.t):
             self.window.seed(t_ev, self._current_input(t_ev))
@@ -683,8 +654,7 @@ class Estimator:
             self._have_fix = True
 
     def _solve_and_shift(self, t: float, trigger: str) -> None:
-        self.P, report, self._lam = solve(self.window, self.P, self.settings,
-                                          self.cfg, self._lam)
+        self.P, report = solve(self.window, self.P, self.cfg)
         report.t = t
         report.trigger = trigger
         self.reports.append(report)
@@ -710,7 +680,6 @@ class Estimator:
 
 
 def replay_events(events, cfg: VehicleConfig,
-                  settings: SolverCfg | None = None,
                   p_init: np.ndarray | None = None) -> Estimator:
     """Run the estimator over an iterable of events in arrival order.
 
@@ -718,7 +687,7 @@ def replay_events(events, cfg: VehicleConfig,
     allocates no reference cycles and GC pauses would eat into the
     per-solve time budget.
     """
-    est = Estimator(cfg, settings=settings, p_init=p_init)
+    est = Estimator(cfg, p_init=p_init)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

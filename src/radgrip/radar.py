@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from radgrip.core import (RadarExtrinsics, RadarScan, SchemaError,
-                          VehicleConfig)
+from radgrip.core import RadarExtrinsics, RadarScan, VehicleConfig
 
 REJECT_ALIAS = "Alias"
 REJECT_LOW_SNR = "LowSNR"
@@ -88,10 +87,9 @@ def scan_to_factors(scan: RadarScan, x_cap: np.ndarray,
 
     Predicts per-point Doppler at x_cap, the state at the capture time,
     de-aliases and gates; (cx, cy, lever) are the body-frame projection
-    terms of each bearing, v_e = -(cx*vx + cy*vy + lever*r).
+    terms of each bearing, v_e = -(cx*vx + cy*vy + lever*r).  The scan's
+    radar_id must index cfg.radars; the estimator drops other scans.
     """
-    if not (0 <= scan.radar_id < len(cfg.radars)):
-        raise SchemaError(f"unknown radar_id {scan.radar_id}")
     ext = cfg.radars[scan.radar_id]
     if not scan.points:
         return np.empty((0, 5))

@@ -184,11 +184,16 @@ _NAN_ROTATION = [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     ("initial_params: [9.0, 1.5, 0.8]\n", "initial_params"),
     (_one_radar(rotation=_NAN_ROTATION, nyquist=26.5), "radars[0].rotation"),
     (_one_radar(nyquist=26.5, fov_azimuth=math.nan), "radars[0].fov"),
+    ("solver:\n  cauchy_scale: .nan\n", "solver.cauchy_scale"),
+    ("solver:\n  cauchy_scale: 0.0\n", "solver.cauchy_scale"),
+    ("bounds:\n  P_max: [40.0, 4.0, 4.0, 1.0, 0.1, .nan]\n", "bounds.P_max"),
+    ("thresholds:\n  snr_min: .nan\n", "thresholds.snr_min"),
 ], ids=["non_numeric_leaf", "non_numeric_array_entry", "non_mapping_section",
         "unknown_nested_key", "non_list_radars", "non_integral_int",
         "string_bool", "bool_for_a_float", "missing_radar_key",
         "old_initial_params_form", "short_initial_params", "nan_rotation",
-        "nan_fov"])
+        "nan_fov", "nan_cauchy_scale", "zero_cauchy_scale", "nan_param_bound",
+        "nan_snr_min"])
 def test_config_fault_names_its_field(tmp_path, capsys, text, field):
     path = tmp_path / "cfg.yaml"
     path.write_text(text)

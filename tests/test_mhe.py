@@ -1,8 +1,10 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from radgrip import mhe
 from radgrip.core import (ImuSample, InputSample, RadarPoint, RadarScan,
                           SteeringSample, WindowOrderError,
                           default_config)
@@ -84,21 +86,24 @@ def test_push_state_order_guard():
 
 def test_solve_noiseless_truth_initialized():
     win = _cruise_window()
-    _, report, _ = solve(win, P_TRUTH_DEFAULT, CFG.solver, CFG)
+    _, report = solve(win, P_TRUTH_DEFAULT, CFG)
     assert report.final_cost == pytest.approx(0.0, abs=1e-12)
-    assert report.iterations == 0
-    assert report.termination == "gradient_tol"
-    assert np.allclose(win.X[-1, 0], 15.0, atol=1e-9)
+    assert report.termination == "no_decrease"
+    assert np.allclose(win.X[:, 0], 15.0, atol=1e-9)
+    assert np.allclose(win.X[:, 1:], 0.0, atol=1e-9)
 
 
 def test_solve_iteration_cap():
+    cfg = copy.deepcopy(CFG)
+    cfg.solver.max_iterations = 5
     win = _cruise_window()
     # perturb one state so the optimizer has real work
     win.X[5, 0] += 0.5
     win.X[5, 1] -= 0.2
-    _, report, _ = solve(win, P_TRUTH_DEFAULT, CFG.solver, CFG)
-    assert report.iterations <= CFG.solver.max_iterations
-    assert report.final_cost <= report.initial_cost
+    _, report = solve(win, P_TRUTH_DEFAULT, cfg)
+    assert report.iterations == 5
+    assert report.termination == "max_iterations"
+    assert report.final_cost < 1e-12 * report.initial_cost
 
 
 def test_solve_cost_never_increases():
@@ -106,9 +111,30 @@ def test_solve_cost_never_increases():
     win = _cruise_window()
     for x in win.X:
         x += rng.normal(0, 0.05, 6)
-    _, report, _ = solve(win, P_TRUTH_DEFAULT, CFG.solver, CFG)
+    _, report = solve(win, P_TRUTH_DEFAULT, CFG)
     assert report.final_cost <= report.initial_cost
     assert report.final_cost < report.initial_cost  # it had work to do
+
+
+def _raise_linalg_error(*args, **kwargs):
+    raise np.linalg.LinAlgError("not positive definite")
+
+
+@pytest.mark.parametrize("name, fake, termination", [
+    ("cho_factor", _raise_linalg_error, "singular"),
+    ("cho_solve", lambda c, b, **kw: np.full_like(b, np.nan), "no_decrease"),
+], ids=["singular_normal_matrix", "non_finite_step"])
+def test_solve_keeps_the_iterate_when_a_step_fails(monkeypatch, name, fake,
+                                                   termination):
+    monkeypatch.setattr(mhe, name, fake)
+    win = _cruise_window()
+    win.X[5, 0] += 0.5
+    X0 = win.X.copy()
+    _, report = solve(win, P_TRUTH_DEFAULT, CFG)
+    assert report.termination == termination
+    assert report.iterations == 1
+    assert report.final_cost == report.initial_cost
+    assert np.array_equal(win.X, X0)
 
 
 def test_solve_clamps_params_into_box():
@@ -116,20 +142,9 @@ def test_solve_clamps_params_into_box():
     crazy = P_TRUTH_DEFAULT.copy()
     crazy[0] = 500.0   # B outside the box
     crazy[3] = -20.0   # E outside the box
-    P_new, _, _ = solve(win, crazy, CFG.solver, CFG)
+    P_new, _ = solve(win, crazy, CFG)
     assert np.all(P_new >= CFG.bounds.full_min() - 1e-12)
     assert np.all(P_new <= CFG.bounds.full_max() + 1e-12)
-
-
-def test_solve_time_cap_returns_last_accepted():
-    import copy
-    settings = copy.deepcopy(CFG.solver)
-    settings.max_time = 1e-9
-    win = _cruise_window()
-    win.X[5, 0] += 0.5
-    _, report, _ = solve(win, P_TRUTH_DEFAULT, settings, CFG)
-    assert report.termination == "max_time"
-    assert report.final_cost <= report.initial_cost
 
 
 def test_shift_span_arithmetic():
@@ -274,7 +289,7 @@ def test_estimate_outputs_below_gate_emits_nulls():
 
 def test_solve_report_breakdown_classes():
     win = _cruise_window()
-    _, report, _ = solve(win, P_TRUTH_DEFAULT, CFG.solver, CFG)
+    _, report = solve(win, P_TRUTH_DEFAULT, CFG)
     assert set(report.breakdown) == {"prior_state", "prior_params",
                                      "process", "zupt", "lateral_force",
                                      "doppler"}

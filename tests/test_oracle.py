@@ -4,9 +4,10 @@ A 3 s prefix of the simgen ``dlc65_outliers`` log (seed 0, floats rounded
 to 7 significant digits) holds a standstill preamble, a launch past
 V_Fy_min and 20% outlier Doppler points, so every factor class (process,
 ZUPT, lateral force, Doppler) and the Cauchy weights take part.  Replayed
-through ``cli.cmd_estimate`` with ``solver.max_time`` lifted, so that every
-solve ends on its iteration cap or a tolerance and never on wall clock, it
-must reproduce the recorded estimate CSV and per-solve final costs.
+through ``cli.cmd_estimate`` at the default config, whose solves end on
+their iteration cap or a rejected step and never on wall clock, it must
+reproduce the recorded estimate CSV and per-solve final costs; and
+``radgrip bench`` must find the same cost trajectory in every repetition.
 
 Re-record the golden file only for a deliberate change of the estimate:
 
@@ -26,16 +27,17 @@ LOG = os.path.join(DATA, "dlc65_outliers_3s.jsonl.gz")
 GOLDEN = os.path.join(DATA, "dlc65_outliers_3s_golden.json")
 
 
-def _replay(tmp_dir):
+def _unzipped_log(tmp_dir):
     log = os.path.join(tmp_dir, "log.jsonl")
     with gzip.open(LOG, "rt", encoding="utf-8") as src, \
             open(log, "w", encoding="utf-8") as dst:
         dst.write(src.read())
-    config = os.path.join(tmp_dir, "config.yaml")
-    with open(config, "w", encoding="utf-8") as fh:
-        fh.write("solver:\n  max_time: 1000.0\n")
+    return log
+
+
+def _replay(tmp_dir):
     out_csv = os.path.join(tmp_dir, "estimate.csv")
-    est = cli.cmd_estimate(log, config, out_csv, quiet=True)
+    est = cli.cmd_estimate(_unzipped_log(tmp_dir), None, out_csv, quiet=True)
     with open(out_csv, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     return est, lines
@@ -51,7 +53,6 @@ def test_replay_matches_golden(tmp_path):
     est, lines = _replay(str(tmp_path))
     with open(GOLDEN, "r", encoding="utf-8") as fh:
         golden = json.load(fh)
-    assert all(r.termination != "max_time" for r in est.reports)
     assert est.counters["zv_states"] > 0
     assert est.counters["doppler_rejected"] > 0
     assert lines[0] == golden["csv"][0]
@@ -66,6 +67,11 @@ def test_replay_matches_golden(tmp_path):
     assert np.all(ok | np.isnan(want)), np.argwhere(~ok & ~np.isnan(want))
     np.testing.assert_allclose([r.final_cost for r in est.reports],
                                golden["final_cost"], rtol=1e-9, atol=0.0)
+
+
+def test_bench_costs_identical_across_repetitions(tmp_path):
+    log = _unzipped_log(str(tmp_path))
+    assert cli.main(["bench", log, "--repetitions", "2"]) == 0
 
 
 if __name__ == "__main__":

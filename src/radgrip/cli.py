@@ -14,22 +14,36 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
 from radgrip import mhe, simgen
-from radgrip.core import (AlignmentError, ConfigError, ESTIMATE_CSV_HEADER,
-                          EstimatorError, IoError, ParseError, RangeError,
-                          SchemaError, TRUTH_CSV_HEADER, UsageError,
-                          VehicleConfig, config_hash, load_config,
+from radgrip.core import (AlignmentError, ConfigError, EstimatorError,
+                          IoError, ParseError, RangeError, SchemaError,
+                          UsageError, VehicleConfig, config_hash, load_config,
                           parse_event, serialize_event)
+
+# the output CSVs hold the fields of their records, in order
+ESTIMATE_CSV_COLUMNS = tuple(f.name for f in fields(mhe.OutputRow))
+TRUTH_CSV_COLUMNS = tuple(f.name for f in fields(simgen.TruthTrajectory)
+                          if f.name != "dt_sim")
+ESTIMATE_CSV_HEADER = ",".join(ESTIMATE_CSV_COLUMNS)
 
 
 def _fmt(v) -> str:
     if v is None:
         return ""
     return f"{v:.10g}"
+
+
+def _write_csv(path: str, columns: tuple, rows) -> None:
+    """Write a header of ``columns``, then one line per row of values."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -76,15 +90,10 @@ def cmd_sim(scenario: str, config_path: str | None, seed: int,
 
 def write_truth_csv(path: str, truth: simgen.TruthTrajectory,
                     dt: float) -> None:
+    """Write the truth signals every ``dt`` seconds."""
     stride = max(1, int(round(dt / truth.dt_sim)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRUTH_CSV_HEADER + "\n")
-        for i in range(0, len(truth.t), stride):
-            fh.write(",".join(_fmt(v) for v in (
-                truth.t[i], truth.vx[i], truth.vy[i], truth.r[i],
-                truth.ax[i], truth.ay[i], truth.delta[i],
-                truth.Fyf[i], truth.Fyr[i],
-                truth.alpha_f[i], truth.alpha_r[i])) + "\n")
+    _write_csv(path, TRUTH_CSV_COLUMNS,
+               zip(*(getattr(truth, c)[::stride] for c in TRUTH_CSV_COLUMNS)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +147,8 @@ def cmd_estimate(log_path: str, config_path: str | None, out_csv: str,
         p_init = rng.uniform(lo, hi)
     est = mhe.replay_events(read_events(log_path), cfg, p_init=p_init)
     try:
-        with open(out_csv, "w", encoding="utf-8") as fh:
-            fh.write(ESTIMATE_CSV_HEADER + "\n")
-            for row in est.rows:
-                fh.write(",".join(_fmt(v) for v in (
-                    row.t, row.vx, row.vy, row.r, row.bx, row.by, row.br,
-                    row.alpha_f, row.alpha_r, row.Fyf, row.Fyr,
-                    row.BCD_f, row.BCD_r, row.beta)) + "\n")
+        _write_csv(out_csv, ESTIMATE_CSV_COLUMNS,
+                   map(attrgetter(*ESTIMATE_CSV_COLUMNS), est.rows))
         summary = {
             "log": os.path.basename(log_path),
             "config_sha256": config_hash(cfg),
@@ -181,13 +185,6 @@ class MetricsReport:
     channels: dict              # name -> {max_abs_err, rmse, samples}
     param_convergence_time: float | None
     solve_time: dict | None
-
-    def to_dict(self) -> dict:
-        return {
-            "channels": self.channels,
-            "param_convergence_time": self.param_convergence_time,
-            "solve_time": self.solve_time,
-        }
 
 
 def _read_csv(path: str) -> dict:
@@ -294,7 +291,7 @@ def cmd_metrics(est_csv: str, truth_csv: str, config_path: str | None,
     if json_out:
         try:
             with open(json_out, "w", encoding="utf-8") as fh:
-                json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+                json.dump(asdict(report), fh, indent=2, sort_keys=True)
                 fh.write("\n")
         except OSError as e:
             raise IoError(f"cannot write {json_out!r}: {e}") from e

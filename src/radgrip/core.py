@@ -1,8 +1,10 @@
 """Domain types, configuration handling and the JSONL sensor-log data model.
 
-All value types in this module are plain immutable records; they carry no
-behaviour beyond conversion helpers and are safe to hand between threads.
-Timestamps are seconds as float64 in a single monotonic clock domain.
+Each record's fields are stated once, on its dataclass: the log reader and
+writer and the config loader and checks walk them.  All value types in
+this module are plain immutable records; they carry no behaviour beyond
+conversion helpers and are safe to hand between threads.  Timestamps are
+seconds as float64 in a single monotonic clock domain.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from operator import attrgetter
 from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -115,15 +118,30 @@ class RadarScan:
     points: tuple
 
 
+_POSITIVE = {"positive": True}     # field metadata: validate_config wants > 0
+
+
+def _positive(default: float):
+    """A dataclass field defaulting to ``default`` that must be > 0."""
+    return field(default=default, metadata=_POSITIVE)
+
+
+def _vector(*values: float, positive: bool = False):
+    """A dataclass field defaulting to a fresh float array of ``values``,
+    each > 0 if ``positive``."""
+    return field(default_factory=lambda: np.array(values, dtype=float),
+                 metadata=_POSITIVE if positive else {})
+
+
 @dataclass
 class RadarExtrinsics:
     """Mounting of one radar: body-from-radar rotation, lever arm, limits."""
 
     rotation: np.ndarray        # 3x3, body <- radar
     translation: np.ndarray     # radar position in body frame (m)
-    nyquist: float              # V_N (m/s)
-    fov_azimuth: float = 0.8    # half-angle (rad)
-    fov_elevation: float = 0.2  # half-angle (rad)
+    nyquist: float = field(metadata=_POSITIVE)     # V_N (m/s)
+    fov_azimuth: float = _positive(0.8)     # half-angle (rad)
+    fov_elevation: float = _positive(0.2)   # half-angle (rad)
 
 
 @dataclass(frozen=True)
@@ -170,22 +188,17 @@ def event_time(ev: SensorEvent) -> float:
 # Configuration
 # ---------------------------------------------------------------------------
 
-def _vector(*values: float):
-    """A dataclass field defaulting to a fresh float array of ``values``."""
-    return field(default_factory=lambda: np.array(values, dtype=float))
-
-
 @dataclass
 class Thresholds:
-    V_min: float = 0.5          # standstill speed threshold (m/s)
-    A_min: float = 0.2          # standstill accel threshold (m/s^2)
-    T_stop: float = 1.0         # required standstill duration (s)
-    snr_min: float = 10.0       # radar SNR gate (dB)
-    dV_r_max: float = 3.0       # Doppler innovation gate (m/s)
-    V_Fy_min: float = 5.0       # lateral-force / slip-angle speed gate (m/s)
-    dTw: float = 0.150          # max window span (s)
-    dt: float = 0.010           # state grid step (s)
-    watchdog_period: float = 0.100  # max radar silence before a solve (s)
+    V_min: float = _positive(0.5)       # standstill speed threshold (m/s)
+    A_min: float = _positive(0.2)       # standstill accel threshold (m/s^2)
+    T_stop: float = _positive(1.0)      # required standstill duration (s)
+    snr_min: float = 10.0               # radar SNR gate (dB)
+    dV_r_max: float = _positive(3.0)    # Doppler innovation gate (m/s)
+    V_Fy_min: float = _positive(5.0)    # lateral-force / slip-angle gate (m/s)
+    dTw: float = _positive(0.150)       # max window span (s)
+    dt: float = _positive(0.010)        # state grid step (s)
+    watchdog_period: float = _positive(0.100)  # max radar silence (s)
 
 
 @dataclass
@@ -194,12 +207,16 @@ class Covariances:
     variance per nominal dt step and scales linearly with the actual
     sub-interval length."""
 
-    Sigma_x0: np.ndarray = _vector(0.25, 0.25, 1e-2, 2.25e-4, 2.25e-4, 2.5e-7)
-    Sigma_P: np.ndarray = _vector(*2 * (0.16, 2.5e-3, 4e-4, 1e-2, 9e-6, 1e-4))
-    Sigma_w: np.ndarray = _vector(1.6e-7, 1.6e-7, 1e-6, 1e-10, 1e-10, 1e-12)
-    Sigma_zv: np.ndarray = _vector(1e-4, 1e-4, 1e-6, 4e-4, 4e-4, 1e-6)
-    sigma_doppler: float = 0.2
-    Sigma_Fy: np.ndarray = _vector(9e4, 9e4)
+    Sigma_x0: np.ndarray = _vector(0.25, 0.25, 1e-2, 2.25e-4, 2.25e-4, 2.5e-7,
+                                   positive=True)
+    Sigma_P: np.ndarray = _vector(*2 * (0.16, 2.5e-3, 4e-4, 1e-2, 9e-6, 1e-4),
+                                  positive=True)
+    Sigma_w: np.ndarray = _vector(1.6e-7, 1.6e-7, 1e-6, 1e-10, 1e-10, 1e-12,
+                                  positive=True)
+    Sigma_zv: np.ndarray = _vector(1e-4, 1e-4, 1e-6, 4e-4, 4e-4, 1e-6,
+                                   positive=True)
+    sigma_doppler: float = _positive(0.2)
+    Sigma_Fy: np.ndarray = _vector(9e4, 9e4, positive=True)
 
 
 @dataclass
@@ -221,8 +238,8 @@ class SolverCfg:
     """At most max_iterations Gauss-Newton steps per window solve (one is
     the iterated-EKF update): the work per solve is bounded by construction."""
 
-    max_iterations: int = 1
-    cauchy_scale: float = 1.0       # on whitened Doppler residuals
+    max_iterations: int = _positive(1)
+    cauchy_scale: float = _positive(1.0)    # on whitened Doppler residuals
 
 
 def _rot_z(yaw: float) -> np.ndarray:
@@ -247,18 +264,18 @@ class VehicleConfig:
     load) and Sh is in rad.
     """
 
-    m: float = 800.0
-    lf: float = 1.6
-    lr: float = 1.4
-    hg: float = 0.3
-    g: float = 9.81
+    m: float = _positive(800.0)
+    lf: float = _positive(1.6)
+    lr: float = _positive(1.4)
+    hg: float = _positive(0.3)
+    g: float = _positive(9.81)
     rho: float = 1.2
     A: float = 1.0
     Czf: float = 1.9
     Czr: float = 2.3
-    Iz: float = 1000.0              # truth simulator only
-    steering_ratio: float = 1.0     # column angle / road-wheel angle
-    delta_max: float = 0.5
+    Iz: float = _positive(1000.0)           # truth simulator only
+    steering_ratio: float = _positive(1.0)  # column angle / road-wheel angle
+    delta_max: float = _positive(0.5)
     initial_biases: np.ndarray = _vector(0.0, 0.0, 0.0)
     initial_params: np.ndarray = _vector(*2 * (9.0, 1.5, 0.8, 0.0, 0.0, 0.0))
     assume_level_standstill: bool = True
@@ -281,11 +298,14 @@ def load_config(path: str | None) -> VehicleConfig:
     """Load a YAML config file, overlaying the documented defaults.
 
     The accepted keys are the fields of VehicleConfig and of its nested
-    dataclasses, which hold the defaults and units; radars is a list of
-    RadarExtrinsics mappings.  Only keys present in the file are
-    overridden.  Malformed input raises ConfigError naming the dotted
-    path.  Numbers are never read from strings: YAML reads 1e-9 as a
-    string, so write 1.0e-9.  ``path=None`` returns the defaults.
+    dataclasses, which hold the defaults, units and rules; radars is a
+    list of RadarExtrinsics mappings.  Only keys present in the file are
+    overridden.  Each value must have its field's type and pass
+    validate_config: numbers finite, arrays the shape of their default,
+    fields declared positive > 0.  Malformed input raises ConfigError
+    naming the dotted path.  Numbers are never read from strings: YAML
+    reads 1e-9 as a string, so write 1.0e-9.  ``path=None`` returns the
+    defaults.
     """
     cfg = VehicleConfig()
     if path is None:
@@ -391,82 +411,61 @@ def config_hash(cfg: VehicleConfig) -> str:
 def validate_config(cfg: VehicleConfig) -> VehicleConfig:
     """Check every config invariant; raises ConfigError naming the field.
 
-    Rotation matrices within 1e-6 of orthonormal are re-orthonormalized.
+    The rules per field are read off the dataclasses: every number and
+    array entry is finite, every array keeps the shape of its default, and
+    a field declared positive (``_positive``, ``_vector(positive=True)``)
+    is > 0.  The cross-field rules are dTw >= dt, P_min <= P_max and at
+    least one radar, whose rotation is 3x3 and orthonormal and whose
+    translation has 3 entries.  Rotation matrices within 1e-6 of
+    orthonormal are re-orthonormalized.
     """
-    for name in ("m", "lf", "lr", "hg", "g"):
-        v = getattr(cfg, name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-            raise ConfigError(name)
-    for name in ("rho", "A", "Czf", "Czr", "Iz", "steering_ratio",
-                 "delta_max"):
-        v = getattr(cfg, name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
-            raise ConfigError(name)
-    th = cfg.thresholds
-    if not math.isfinite(th.snr_min):
-        raise ConfigError("thresholds.snr_min")
-    if not (th.dt > 0 and math.isfinite(th.dt)):
-        raise ConfigError("thresholds.dt")
-    if not (th.dTw > 0 and math.isfinite(th.dTw)):
-        raise ConfigError("thresholds.dTw")
-    if th.dTw < th.dt:
-        raise ConfigError("thresholds.dTw")
-    for name in ("V_min", "A_min", "T_stop", "dV_r_max", "V_Fy_min",
-                 "watchdog_period"):
-        v = getattr(th, name)
-        if not (math.isfinite(v) and v > 0):
-            raise ConfigError(f"thresholds.{name}")
-    cov = cfg.covariances
-    shapes = {"Sigma_x0": 6, "Sigma_P": 12, "Sigma_w": 6, "Sigma_zv": 6,
-              "Sigma_Fy": 2}
-    for name, n in shapes.items():
-        arr = getattr(cov, name)
-        if arr.shape != (n,):
-            raise ConfigError(f"covariances.{name}")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise ConfigError(f"covariances.{name}")
-    if not (math.isfinite(cov.sigma_doppler) and cov.sigma_doppler > 0):
-        raise ConfigError("covariances.sigma_doppler")
-    b = cfg.bounds
-    for name in ("P_min", "P_max"):
-        arr = getattr(b, name)
-        if arr.shape != (6,) or not np.all(np.isfinite(arr)):
-            raise ConfigError(f"bounds.{name}")
-    if np.any(b.P_min > b.P_max):
-        raise ConfigError("bounds.P_min")
-    if cfg.initial_biases.shape != (3,) or not np.all(
-            np.isfinite(cfg.initial_biases)):
-        raise ConfigError("initial_biases")
-    if cfg.initial_params.shape != (12,) or not np.all(
-            np.isfinite(cfg.initial_params)):
-        raise ConfigError("initial_params")
-    s = cfg.solver
-    if s.max_iterations < 1:
-        raise ConfigError("solver.max_iterations")
-    if not (math.isfinite(s.cauchy_scale) and s.cauchy_scale > 0):
-        raise ConfigError("solver.cauchy_scale")
+    _check_fields(cfg, "")
+    if cfg.thresholds.dTw < cfg.thresholds.dt:
+        raise ConfigError("thresholds.dTw: shorter than thresholds.dt")
+    if np.any(cfg.bounds.P_min > cfg.bounds.P_max):
+        raise ConfigError("bounds.P_min: above bounds.P_max")
     if not cfg.radars:
-        raise ConfigError("radars")
+        raise ConfigError("radars: empty")
     for i, ext in enumerate(cfg.radars):
-        if ext.rotation.shape != (3, 3) or not np.all(
-                np.isfinite(ext.rotation)):
-            raise ConfigError(f"radars[{i}].rotation")
+        if ext.translation.shape != (3,):
+            raise ConfigError(f"radars[{i}].translation: expected 3 entries")
+        if ext.rotation.shape != (3, 3):
+            raise ConfigError(f"radars[{i}].rotation: expected 3x3")
         err = np.abs(ext.rotation @ ext.rotation.T - np.eye(3)).max()
         det = np.linalg.det(ext.rotation)
         if err > 1e-6 or det < 0.5:
-            raise ConfigError(f"radars[{i}].rotation")
+            raise ConfigError(f"radars[{i}].rotation: not a rotation")
         if err > 1e-12:
             u, _, vt = np.linalg.svd(ext.rotation)
             ext.rotation = u @ vt
-        if ext.translation.shape != (3,) or not np.all(
-                np.isfinite(ext.translation)):
-            raise ConfigError(f"radars[{i}].translation")
-        if not (math.isfinite(ext.nyquist) and ext.nyquist > 0):
-            raise ConfigError(f"radars[{i}].nyquist")
-        for fov in (ext.fov_azimuth, ext.fov_elevation):
-            if not (math.isfinite(fov) and fov > 0):
-                raise ConfigError(f"radars[{i}].fov")
     return cfg
+
+
+def _check_fields(obj, path: str) -> None:
+    """Apply the per-field rules of validate_config to dataclass ``obj``
+    and, recursively, to its dataclass and list fields."""
+    for f in fields(obj):
+        name = f"{path}.{f.name}" if path else f.name
+        v = getattr(obj, f.name)
+        if is_dataclass(v):
+            _check_fields(v, name)
+        elif isinstance(v, list):
+            for i, item in enumerate(v):
+                _check_fields(item, f"{name}[{i}]")
+        elif not isinstance(v, bool):
+            try:
+                arr = np.asarray(v, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{name}: expected a finite number, "
+                                  f"got {v!r}") from None
+            if (f.default_factory is not MISSING
+                    and arr.shape != np.shape(f.default_factory())):
+                raise ConfigError(f"{name}: expected shape "
+                                  f"{np.shape(f.default_factory())}")
+            if not np.all(np.isfinite(arr)):
+                raise ConfigError(f"{name}: not finite")
+            if f.metadata.get("positive") and not np.all(arr > 0):
+                raise ConfigError(f"{name}: must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -477,118 +476,119 @@ def _reject_constant(token: str):
     raise RangeError(f"non-finite JSON constant {token!r}")
 
 
-def _require_num(rec: dict, key: str, kind: str) -> float:
-    if key not in rec:
-        raise SchemaError(f"{kind} record missing field {key!r}")
-    v = rec[key]
+def _number(v, kind: str, key: str) -> float:
+    """The JSON value ``v`` of field ``key`` of a ``kind`` record as a
+    finite float."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if v is None:
+            raise SchemaError(f"{kind} record missing field {key!r}")
         raise SchemaError(f"{kind} field {key!r} is not a number")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        raise RangeError(
+            f"{kind} field {key!r} is too large for a float") from None
     if not math.isfinite(v):
         raise RangeError(f"{kind} field {key!r} is not finite")
     return v
 
 
-def _optional_num(rec: dict, key: str, kind: str) -> float | None:
-    if key not in rec or rec[key] is None:
-        return None
-    return _require_num(rec, key, kind)
+def _integer(v, kind: str, key: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SchemaError(f"{kind} record missing integer {key!r}")
+    return v
+
+
+_POINT_FIELDS = tuple(f.name for f in fields(RadarPoint))
+_point_row = attrgetter(*_POINT_FIELDS)     # a point as its field values
+
+
+def _points(v, kind: str, key: str) -> tuple:
+    """A list of points, each a list of RadarPoint's fields in order."""
+    if not isinstance(v, list):
+        raise SchemaError(f"{kind} record missing {key!r} list")
+    points = []
+    for i, row in enumerate(v):
+        if not isinstance(row, list) or len(row) != len(_POINT_FIELDS):
+            raise SchemaError(f"{kind} point {i} must be "
+                              f"[{','.join(_POINT_FIELDS)}]")
+        for x in row:
+            if type(x) is not float or x - x:   # not a finite float
+                try:
+                    row = [_number(val, kind, name)
+                           for val, name in zip(row, _POINT_FIELDS)]
+                except (SchemaError, RangeError) as e:
+                    raise type(e)(f"{kind} point {i}: {e}") from None
+                break
+        p = RadarPoint(*row)
+        if p.range < 0:
+            raise RangeError(f"{kind} point {i} has negative range")
+        points.append(p)
+    return tuple(points)
+
+
+_EVENT_TYPES = {"imu": ImuSample, "steering": SteeringSample,
+                "radar": RadarScan, "ref_vel": ReferenceVelocity}
+
+_READERS = {"radar_id": _integer, "points": _points}
+
+# tag -> (class, ((field, reader, optional), ...)): a field with no default
+# is required and one defaulting to None optional; every field is a finite
+# number but for those in _READERS.
+_LOG_SCHEMA = {
+    tag: (cls, tuple((f.name, _READERS.get(f.name, _number),
+                      f.default is None) for f in fields(cls)))
+    for tag, cls in _EVENT_TYPES.items()}
+
+_EVENT_TAGS = {cls: (tag, tuple(f.name for f in fields(cls)))
+               for tag, cls in _EVENT_TYPES.items()}
 
 
 def parse_event(line: str) -> SensorEvent:
     """Decode one JSONL log record into its sensor event.
 
-    Unknown fields are ignored.  Malformed JSON raises ParseError, missing
-    or mistyped fields SchemaError, non-finite numbers RangeError.
+    The record's "type" tag names the event class, and its other keys are
+    that class's fields; see _LOG_SCHEMA.  Unknown fields are ignored.
+    Malformed JSON raises ParseError, a missing or mistyped field
+    SchemaError, and a non-finite number, one too large for a float or a
+    scan received before its capture RangeError.
     """
     try:
         rec = json.loads(line, parse_constant=_reject_constant)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise ParseError(f"malformed JSON: {e}") from e
     if not isinstance(rec, dict):
         raise SchemaError("record is not a JSON object")
-    etype = rec.get("type")
-    if etype == "imu":
-        return ImuSample(
-            t=_require_num(rec, "t", "imu"),
-            ax=_require_num(rec, "ax", "imu"),
-            ay=_require_num(rec, "ay", "imu"),
-            r=_require_num(rec, "r", "imu"),
-            az=_optional_num(rec, "az", "imu"),
-            gx=_optional_num(rec, "gx", "imu"),
-            gy=_optional_num(rec, "gy", "imu"),
-        )
-    if etype == "steering":
-        return SteeringSample(
-            t=_require_num(rec, "t", "steering"),
-            delta=_require_num(rec, "delta", "steering"),
-        )
-    if etype == "radar":
-        rid = rec.get("radar_id")
-        if isinstance(rid, bool) or not isinstance(rid, int):
-            raise SchemaError("radar record missing integer 'radar_id'")
-        t_cap = _require_num(rec, "t_capture", "radar")
-        t_rec = _require_num(rec, "t_receive", "radar")
-        if t_rec < t_cap:
-            raise RangeError("radar t_receive precedes t_capture")
-        pts_raw = rec.get("points")
-        if not isinstance(pts_raw, list):
-            raise SchemaError("radar record missing 'points' list")
-        points = []
-        for i, p in enumerate(pts_raw):
-            if not isinstance(p, list) or len(p) != 5:
-                raise SchemaError(
-                    f"radar point {i} must be [range,azimuth,elevation,"
-                    f"doppler,snr]")
-            vals = []
-            for j, v in enumerate(p):
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise SchemaError(f"radar point {i}[{j}] is not a number")
-                v = float(v)
-                if not math.isfinite(v):
-                    raise RangeError(f"radar point {i}[{j}] is not finite")
-                vals.append(v)
-            if vals[0] < 0:
-                raise RangeError(f"radar point {i} has negative range")
-            points.append(RadarPoint(*vals))
-        return RadarScan(rid, t_cap, t_rec, tuple(points))
-    if etype == "ref_vel":
-        return ReferenceVelocity(
-            t=_require_num(rec, "t", "ref_vel"),
-            vx_ref=_require_num(rec, "vx_ref", "ref_vel"),
-            vy_ref=_require_num(rec, "vy_ref", "ref_vel"),
-        )
-    raise SchemaError(f"unknown record type {etype!r}")
+    kind = rec.get("type")
+    schema = _LOG_SCHEMA.get(kind) if isinstance(kind, str) else None
+    if schema is None:
+        raise SchemaError(f"unknown record type {kind!r}")
+    cls, spec = schema
+    values = []
+    for key, read, optional in spec:
+        v = rec.get(key)
+        values.append(None if v is None and optional else read(v, kind, key))
+    ev = cls(*values)
+    if cls is RadarScan and ev.t_receive < ev.t_capture:
+        raise RangeError("radar t_receive precedes t_capture")
+    return ev
 
 
 def serialize_event(ev: SensorEvent) -> str:
-    """Encode an event as one JSONL line (inverse of parse_event)."""
-    if isinstance(ev, ImuSample):
-        rec = {"type": "imu", "t": ev.t, "ax": ev.ax, "ay": ev.ay, "r": ev.r}
-        for key in ("az", "gx", "gy"):
-            v = getattr(ev, key)
-            if v is not None:
-                rec[key] = v
-    elif isinstance(ev, SteeringSample):
-        rec = {"type": "steering", "t": ev.t, "delta": ev.delta}
-    elif isinstance(ev, RadarScan):
-        rec = {
-            "type": "radar",
-            "radar_id": ev.radar_id,
-            "t_capture": ev.t_capture,
-            "t_receive": ev.t_receive,
-            "points": [[p.range, p.azimuth, p.elevation, p.doppler, p.snr]
-                       for p in ev.points],
-        }
-    elif isinstance(ev, ReferenceVelocity):
-        rec = {"type": "ref_vel", "t": ev.t, "vx_ref": ev.vx_ref,
-               "vy_ref": ev.vy_ref}
-    else:
-        raise SchemaError(f"cannot serialize {type(ev).__name__}")
-    return json.dumps(rec, separators=(",", ":"))
-
-
-ESTIMATE_CSV_HEADER = ("t,vx,vy,r,bx,by,br,alpha_f,alpha_r,Fyf,Fyr,"
-                       "BCD_f,BCD_r,beta")
-
-TRUTH_CSV_HEADER = "t,vx,vy,r,ax,ay,delta,Fyf,Fyr,alpha_f,alpha_r"
+    """Encode an event as one JSONL line, the inverse of parse_event: the
+    tag, then every field that is not None, in field order.  Raises
+    RangeError on a non-finite value."""
+    try:
+        tag, keys = _EVENT_TAGS[type(ev)]
+    except KeyError:
+        raise SchemaError(f"cannot serialize {type(ev).__name__}") from None
+    rec = {"type": tag}
+    for key in keys:
+        v = getattr(ev, key)
+        if v is not None:
+            rec[key] = v
+    try:
+        return json.dumps(rec, separators=(",", ":"), allow_nan=False,
+                          default=_point_row)
+    except ValueError as e:
+        raise RangeError(f"cannot serialize {tag} record: {e}") from None

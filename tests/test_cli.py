@@ -52,12 +52,15 @@ def test_missing_log_exits_2(tmp_path):
 
 def test_malformed_line_exits_2_naming_its_line(tmp_path, capsys):
     log = os.path.join(str(tmp_path), "log.jsonl")
-    with open(log, "w") as fh:
-        fh.write(serialize_event(ImuSample(0.0, 0.0, 0.0, 0.0)) + "\n")
-        fh.write("{not json\n")
     out = os.path.join(str(tmp_path), "est.csv")
-    assert cli.main(["estimate", log, "--out", out]) == 2
-    assert f"{log}:2:" in capsys.readouterr().err
+    # bad JSON, and a time too large for a float
+    for bad in ("{not json",
+                '{"type":"imu","t":' + "1" * 401 + ',"ax":0,"ay":0,"r":0}'):
+        with open(log, "w") as fh:
+            fh.write(serialize_event(ImuSample(0.0, 0.0, 0.0, 0.0)) + "\n")
+            fh.write(bad + "\n")
+        assert cli.main(["estimate", log, "--out", out]) == 2
+        assert f"{log}:2:" in capsys.readouterr().err
 
 
 def test_unknown_radar_scan_is_counted_and_dropped(tmp_path):

@@ -5,13 +5,15 @@ import re
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from radgrip import cli
-from radgrip.core import (ConfigError, ImuSample, ParseError, RadarScan,
-                          RangeError, ReferenceVelocity, SchemaError,
-                          SteeringSample, config_hash, config_to_dict,
-                          default_config, load_config, parse_event,
-                          serialize_event, validate_config, VehicleConfig)
+from radgrip.core import (ConfigError, ImuSample, ParseError, RadarPoint,
+                          RadarScan, RangeError, ReferenceVelocity,
+                          SchemaError, SteeringSample, config_hash,
+                          config_to_dict, default_config, load_config,
+                          parse_event, serialize_event, validate_config,
+                          VehicleConfig)
 
 
 def test_parse_zero_imu_record():
@@ -37,8 +39,12 @@ def test_parse_type_violation():
 
 
 def test_parse_malformed_json():
-    with pytest.raises(ParseError):
-        parse_event('{"type":"imu",')
+    # unterminated, an integer past Python's 4300-digit conversion limit,
+    # and nesting past the recursion limit
+    for line in ('{"type":"imu",', '{"type":"imu","t":' + "1" * 5000 + "}",
+                 "[" * 100000):
+        with pytest.raises(ParseError):
+            parse_event(line)
 
 
 def test_parse_missing_field():
@@ -51,6 +57,16 @@ def test_parse_rejects_nonfinite():
         parse_event('{"type":"imu","t":0.0,"ax":NaN,"ay":0.0,"r":0.0}')
     with pytest.raises(RangeError):
         parse_event('{"type":"imu","t":0.0,"ax":1e999,"ay":0.0,"r":0.0}')
+    with pytest.raises(RangeError, match="'t' is too large for a float"):
+        parse_event('{"type":"imu","t":' + "1" * 401 + ',"ax":0,"ay":0,"r":0}')
+
+
+def test_serialize_rejects_nonfinite():
+    with pytest.raises(RangeError):
+        serialize_event(ImuSample(0.0, 0.0, math.nan, 0.0))
+    with pytest.raises(RangeError):
+        serialize_event(RadarScan(0, 1.0, 1.0, (RadarPoint(
+            10.0, 0.1, 0.0, math.inf, 20.0),)))
 
 
 def test_parse_unknown_fields_ignored():
@@ -69,35 +85,69 @@ def test_timestamps_preserved_to_microseconds():
     assert ev.t == 1234.567891
 
 
-def _random_event(rng):
-    kind = rng.integers(0, 4)
-    t = float(np.round(rng.uniform(0, 100), 6))
-    if kind == 0:
-        ev = ImuSample(t, *(float(rng.normal()) for _ in range(3)))
-        if rng.integers(0, 2):
-            ev = ImuSample(ev.t, ev.ax, ev.ay, ev.r,
-                           az=float(rng.normal(9.81, 0.1)),
-                           gx=float(rng.normal()), gy=float(rng.normal()))
-        return ev
-    if kind == 1:
-        return SteeringSample(t, float(rng.normal(0, 0.1)))
-    if kind == 2:
-        return ReferenceVelocity(t, float(rng.normal(30, 5)),
-                                 float(rng.normal(0, 1)))
-    pts = [[float(rng.uniform(1, 100)), float(rng.uniform(-0.8, 0.8)),
-            float(rng.uniform(-0.2, 0.2)), float(rng.uniform(-26.5, 26.5)),
-            float(rng.uniform(0, 40))] for _ in range(rng.integers(0, 5))]
-    rec = {"type": "radar", "radar_id": int(rng.integers(0, 3)),
-           "t_capture": t, "t_receive": t + float(rng.uniform(0, 0.1)),
-           "points": pts}
-    return parse_event(json.dumps(rec))
+# finite floats, integer-valued ones among them
+_NUMBER = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.integers(-2**53, 2**53).map(float))
+_OPTIONAL = st.none() | _NUMBER
+_POINT = st.builds(RadarPoint, _NUMBER.map(abs), _NUMBER, _NUMBER, _NUMBER,
+                   _NUMBER)
 
 
-def test_serialize_parse_round_trip():
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        ev = _random_event(rng)
-        assert parse_event(serialize_event(ev)) == ev
+@st.composite
+def _scans(draw):
+    t_capture, t_receive = sorted((draw(_NUMBER), draw(_NUMBER)))
+    return RadarScan(draw(st.integers()), t_capture, t_receive,
+                     tuple(draw(st.lists(_POINT, max_size=4))))
+
+
+_EVENTS = st.one_of(
+    st.builds(ImuSample, _NUMBER, _NUMBER, _NUMBER, _NUMBER, _OPTIONAL,
+              _OPTIONAL, _OPTIONAL),
+    st.builds(SteeringSample, _NUMBER, _NUMBER),
+    _scans(),
+    st.builds(ReferenceVelocity, _NUMBER, _NUMBER, _NUMBER))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EVENTS)
+def test_serialize_parse_round_trip(ev):
+    assert parse_event(serialize_event(ev)) == ev
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text() | st.integers(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=10)
+# arbitrary JSON, or an integer too large for a float
+_VALUE = st.integers(2**1024, 10**400) | _JSON
+
+
+@st.composite
+def _mutated_records(draw):
+    """A valid record with some keys, or one point entry, dropped or set to
+    an arbitrary value."""
+    rec = json.loads(serialize_event(draw(_EVENTS)))
+    if rec.get("points") and draw(st.booleans()):
+        row = draw(st.sampled_from(rec["points"]))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_VALUE)
+    for key in draw(st.lists(st.sampled_from(sorted(rec)) | st.text(),
+                             min_size=1, max_size=2)):
+        if draw(st.booleans()):
+            rec.pop(key, None)
+        else:
+            rec[key] = draw(_VALUE)
+    return rec
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text() | _JSON.map(json.dumps)
+       | _mutated_records().map(json.dumps))
+def test_parse_raises_only_log_errors(line):
+    try:
+        parse_event(line)
+    except (ParseError, SchemaError, RangeError):
+        pass
 
 
 def test_default_config_valid():
@@ -183,17 +233,22 @@ _NAN_ROTATION = [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
      "  rear: [9.0, 1.5, 0.8, 0.0, 0.0, 0.0]\n", "initial_params"),
     ("initial_params: [9.0, 1.5, 0.8]\n", "initial_params"),
     (_one_radar(rotation=_NAN_ROTATION, nyquist=26.5), "radars[0].rotation"),
-    (_one_radar(nyquist=26.5, fov_azimuth=math.nan), "radars[0].fov"),
+    (_one_radar(nyquist=26.5, fov_azimuth=math.nan),
+     "radars[0].fov_azimuth"),
     ("solver:\n  cauchy_scale: .nan\n", "solver.cauchy_scale"),
     ("solver:\n  cauchy_scale: 0.0\n", "solver.cauchy_scale"),
     ("bounds:\n  P_max: [40.0, 4.0, 4.0, 1.0, 0.1, .nan]\n", "bounds.P_max"),
     ("thresholds:\n  snr_min: .nan\n", "thresholds.snr_min"),
+    ("steering_ratio: 0.0\n", "steering_ratio"),
+    ("delta_max: -0.5\n", "delta_max"),
+    ("Iz: 0.0\n", "Iz"),
 ], ids=["non_numeric_leaf", "non_numeric_array_entry", "non_mapping_section",
         "unknown_nested_key", "non_list_radars", "non_integral_int",
         "string_bool", "bool_for_a_float", "missing_radar_key",
         "old_initial_params_form", "short_initial_params", "nan_rotation",
         "nan_fov", "nan_cauchy_scale", "zero_cauchy_scale", "nan_param_bound",
-        "nan_snr_min"])
+        "nan_snr_min", "zero_steering_ratio", "negative_delta_max",
+        "zero_Iz"])
 def test_config_fault_names_its_field(tmp_path, capsys, text, field):
     path = tmp_path / "cfg.yaml"
     path.write_text(text)

@@ -5,7 +5,6 @@ and a replay CLI for closed-loop validation."""
 
 from radgrip.core import (
     VehicleConfig,
-    InputSample,
     RadarPoint,
     RadarScan,
     RadarExtrinsics,
@@ -23,7 +22,6 @@ from radgrip.mhe import Estimator, SlidingWindow, SolveReport
 
 __all__ = [
     "VehicleConfig",
-    "InputSample",
     "RadarPoint",
     "RadarScan",
     "RadarExtrinsics",

@@ -101,9 +101,11 @@ def write_truth_csv(path: str, truth: simgen.TruthTrajectory,
 # ---------------------------------------------------------------------------
 
 def read_events(path: str):
-    """Yield events from a JSONL log, reporting errors with line numbers."""
+    """Yield events from a JSONL log, reporting errors with line numbers.
+    Bytes that are not UTF-8 decode to lone surrogates, which the line's
+    encode check turns into a ParseError naming that line."""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as e:
         raise IoError(f"cannot read log {path!r}: {e}") from e
     with fh:
@@ -112,7 +114,11 @@ def read_events(path: str):
             if not line:
                 continue
             try:
+                line.encode("utf-8")
                 yield parse_event(line)
+            except UnicodeEncodeError as e:
+                raise ParseError(f"{path}:{lineno}: not valid UTF-8 at "
+                                 f"column {e.start + 1}") from e
             except (ParseError, SchemaError, RangeError) as e:
                 raise type(e)(f"{path}:{lineno}: {e}") from e
 
@@ -136,16 +142,10 @@ def solve_time_stats(reports) -> dict:
 
 
 def cmd_estimate(log_path: str, config_path: str | None, out_csv: str,
-                 randomize_params: int | None = None,
                  quiet: bool = False) -> mhe.Estimator:
     """Replay a log in arrival order, writing one row per 10 ms state."""
     cfg = load_config(config_path)
-    p_init = None
-    if randomize_params is not None:
-        rng = np.random.default_rng(randomize_params)
-        lo, hi = cfg.bounds.full_min(), cfg.bounds.full_max()
-        p_init = rng.uniform(lo, hi)
-    est = mhe.replay_events(read_events(log_path), cfg, p_init=p_init)
+    est = mhe.replay_events(read_events(log_path), cfg)
     try:
         _write_csv(out_csv, ESTIMATE_CSV_COLUMNS,
                    map(attrgetter(*ESTIMATE_CSV_COLUMNS), est.rows))
@@ -187,18 +187,32 @@ class MetricsReport:
     solve_time: dict | None
 
 
-def _read_csv(path: str) -> dict:
+# (channel, scored only above the lateral-force speed gate)
+_METRIC_CHANNELS = (("vx", False), ("vy", False), ("alpha_f", True),
+                    ("alpha_r", True), ("Fyf", True), ("Fyr", True))
+
+
+def _read_csv(path: str, required: tuple) -> dict:
+    """Columns of a CSV as float arrays, empty cells NaN.  Raises
+    SchemaError naming the file and the column when a required column is
+    missing or a cell is not a number."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             rows = [line.strip().split(",") for line in fh if line.strip()]
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise IoError(f"cannot read CSV {path!r}: {e}") from e
     cols = {}
     for j, name in enumerate(header):
         vals = [(r[j] if j < len(r) else "") for r in rows]
-        cols[name] = np.array(
-            [float(v) if v else np.nan for v in vals])
+        try:
+            cols[name] = np.array(
+                [float(v) if v else np.nan for v in vals])
+        except ValueError as e:
+            raise SchemaError(f"{path}: column {name!r}: {e}") from e
+    for name in required:
+        if name not in cols:
+            raise SchemaError(f"{path}: missing column {name!r}")
     return cols
 
 
@@ -209,8 +223,9 @@ def compute_metrics(est_csv: str, truth_csv: str,
     Slip and force channels are scored only where the truth speed exceeds
     the gate and the estimate emitted a value; velocities everywhere.
     """
-    est = _read_csv(est_csv)
-    tru = _read_csv(truth_csv)
+    names = ("t", *(name for name, _ in _METRIC_CHANNELS))
+    est = _read_csv(est_csv, (*names, "BCD_f", "BCD_r"))
+    tru = _read_csv(truth_csv, names)
     te, tt = est["t"], tru["t"]
     if len(te) == 0 or len(tt) == 0:
         raise AlignmentError("empty CSV")
@@ -226,8 +241,7 @@ def compute_metrics(est_csv: str, truth_csv: str,
     speed_ok = np.hypot(tru["vx"][idx], tru["vy"][idx]) \
         > cfg.thresholds.V_Fy_min
     channels = {}
-    for name, gated in (("vx", False), ("vy", False), ("alpha_f", True),
-                        ("alpha_r", True), ("Fyf", True), ("Fyr", True)):
+    for name, gated in _METRIC_CHANNELS:
         e = est[name][ok]
         t_ = tru[name][idx]
         mask = np.isfinite(e) & np.isfinite(t_)
@@ -364,10 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("log")
     pe.add_argument("--config", default=None)
     pe.add_argument("--out", default="estimate.csv")
-    pe.add_argument("--randomize-params", type=int, default=None,
-                    metavar="SEED",
-                    help="draw the initial tire parameters uniformly "
-                         "inside the configured box")
 
     pm = sub.add_parser("metrics", help="score an estimate against truth")
     pm.add_argument("estimate_csv")
@@ -389,8 +399,7 @@ def main(argv=None) -> int:
         if args.command == "sim":
             cmd_sim(args.scenario, args.config, args.seed, args.out)
         elif args.command == "estimate":
-            cmd_estimate(args.log, args.config, args.out,
-                         randomize_params=args.randomize_params)
+            cmd_estimate(args.log, args.config, args.out)
         elif args.command == "metrics":
             cmd_metrics(args.estimate_csv, args.truth_csv, args.config,
                         json_out=args.json)

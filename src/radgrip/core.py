@@ -60,10 +60,6 @@ class StaleScanError(EstimatorError):
     """A radar scan was captured before the current window begins."""
 
 
-class StaleEventError(EstimatorError):
-    """An event predates the current window and was dropped."""
-
-
 class TruthDivergenceError(EstimatorError):
     """The truth simulation left its domain of validity."""
 
@@ -83,21 +79,6 @@ class AlignmentError(EstimatorError):
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InputSample:
-    """Measured inputs governing one integration interval.
-
-    ax_meas, ay_meas are raw IMU accelerations (m/s^2), r_meas the raw yaw
-    rate (rad/s) and delta the road-wheel steering angle (rad).
-    """
-
-    t: float
-    ax_meas: float
-    ay_meas: float
-    r_meas: float
-    delta: float
-
 
 @dataclass(frozen=True)
 class RadarPoint:

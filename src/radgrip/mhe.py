@@ -3,17 +3,20 @@ solver that jointly refines vehicle states and tire parameters.
 
 The window is held as arrays, one row per state, oldest first: times t,
 estimates X, inputs U, a grid flag and ZUPT targets zv (NaN where a state
-has none), plus one row per accepted Doppler observation in dop.  States
-enter every dt (10 ms default); a radar scan binds its Doppler rows to the
-state at its capture time, inserting one back in time when the capture
-instant falls between grid states.  The full problem is solved when a scan
-contributes at least one gated-in row, after which the window sheds its
-oldest rows and priors are refreshed from the newest estimates.
+has none), plus one row per accepted Doppler observation in dop.  An input
+is carried as the U row it becomes, (ax, ay, r, delta), from the IMU
+sample to the output row.  States enter every dt (10 ms default); a radar
+scan binds its Doppler rows to the state at its capture time, inserting
+one back in time when the capture instant falls between grid states.  The
+full problem is solved when a scan contributes at least one gated-in row,
+after which the window sheds its oldest rows and priors are refreshed from
+the newest estimates.
 
 The solver takes at most solver.max_iterations (default 1) Gauss-Newton
 steps on the dense window problem, so the estimate never depends on the
 clock.  Each step builds the dense Jacobian (a block-tridiagonal state
-chain plus one tire-parameter column), J^T J and its Cholesky factor.
+chain plus one tire-parameter column), J^T J and its Cholesky factor;
+residuals and Jacobian are fresh arrays per call, no buffer is reused.
 Tire parameters are clamped into their box, and a step is kept only if it
 lowers the cost.  Doppler rows carry a Cauchy robust loss, everything else
 is quadratic.
@@ -32,10 +35,10 @@ from scipy.linalg import cho_factor, cho_solve
 
 from radgrip import motion, tire, zupt
 from radgrip import radar as radar_mod
-from radgrip.core import (EstimatorError, ImuSample, InputSample,
-                          NumericError, RadarScan, ReferenceVelocity,
-                          StaleEventError, StaleScanError, SteeringSample,
-                          VehicleConfig, WindowOrderError, event_time)
+from radgrip.core import (EstimatorError, ImuSample, NumericError,
+                          RadarScan, ReferenceVelocity, StaleScanError,
+                          SteeringSample, VehicleConfig, WindowOrderError,
+                          event_time)
 from radgrip.motion import predict_array
 
 _T_EPS = 1e-9
@@ -61,7 +64,9 @@ class SlidingWindow:
     lever] of dop (M, 5), bound to the state at t_state; its expected value
     is -(cx*vx + cy*vy + lever*r) and its deviation the configured
     sigma_doppler.  Rows are added by concatenation, so every array is
-    replaced, never resized, when the window grows.
+    replaced, never resized, when the window grows.  prior_P starts as
+    cfg.initial_params clipped into the box, the one clip of the start
+    vector.
     """
 
     def __init__(self, cfg: VehicleConfig):
@@ -76,15 +81,6 @@ class SlidingWindow:
         self.prior_P: np.ndarray = np.clip(
             cfg.initial_params, cfg.bounds.full_min(), cfg.bounds.full_max())
 
-    def oldest_t(self) -> float:
-        return self.t[0]
-
-    def newest_t(self) -> float:
-        return self.t[-1]
-
-    def span(self) -> float:
-        return self.t[-1] - self.t[0] if len(self.t) else 0.0
-
     def _states(self):
         return self.t, self.X, self.U, self.grid, self.zv
 
@@ -92,15 +88,15 @@ class SlidingWindow:
         self.t, self.X, self.U, self.grid, self.zv = (
             a[rows] for a in self._states())
 
-    def _insert(self, i: int, t: float, x: np.ndarray, u: InputSample,
+    def _insert(self, i: int, t: float, x: np.ndarray, u: tuple,
                 grid: bool) -> None:
-        """Insert one state before row i (i = K appends)."""
-        row = (t, x, (u.ax_meas, u.ay_meas, u.r_meas, u.delta), grid, _NO_ZV)
+        """Insert one state with U row u before row i (i = K appends)."""
+        row = (t, x, u, grid, _NO_ZV)
         self.t, self.X, self.U, self.grid, self.zv = (
             np.concatenate((a[:i], [v], a[i:]))
             for a, v in zip(self._states(), row))
 
-    def seed(self, t: float, u: InputSample) -> None:
+    def seed(self, t: float, u: tuple) -> None:
         """Restart the window with one grid state at the initial biases."""
         x0 = np.zeros(6)
         x0[3:6] = self.cfg.initial_biases
@@ -113,19 +109,17 @@ class SlidingWindow:
         u = self.U[-1]
         return predict_array(self.X[-1], u[0], u[1], u[2], t - self.t[-1])
 
-    def push_state(self, t: float, u: InputSample) -> None:
-        """Append a grid state predicted from the newest one."""
-        if not len(self.t):
-            self.seed(t, u)
-            return
+    def push_state(self, t: float, u: tuple) -> None:
+        """Append a grid state with U row u, predicted from the newest
+        one."""
         if t - self.t[-1] <= _T_EPS:
             raise WindowOrderError(
                 f"push at t={t} does not advance newest={self.t[-1]}")
         self._insert(len(self.t), t, self._predict(t), u, True)
 
-    def ensure_state_at(self, t: float, u: InputSample) -> np.ndarray:
-        """Current estimate of the state at time t, inserting one with input
-        u if needed.
+    def ensure_state_at(self, t: float, u: tuple) -> np.ndarray:
+        """Current estimate of the state at time t, inserting one with U
+        row u if needed.
 
         An inserted state is initialized by linear interpolation of its
         neighbours (or prediction when beyond the newest state); process
@@ -195,7 +189,8 @@ class WindowProblem:
     """Residuals and analytic Jacobian of one window solve.
 
     Variables are z = [x_0 ... x_{K-1}, P] with x_k the 6 state components
-    and P the 12 tire parameters (front then rear axle).  Each factor class
+    and P the 12 tire parameters (front then rear axle).  P_init is taken
+    as given; solve_problem clamps the initial iterate into the box.  Each factor class
     is defined, with its partials, in its domain module; this class fixes
     the rows and weights per solve and scatters those values into r and J.
     """
@@ -209,13 +204,12 @@ class WindowProblem:
         self.X_init = window.X
         self.P_lo = cfg.bounds.full_min()
         self.P_hi = cfg.bounds.full_max()
-        self.P_init = np.clip(np.asarray(P_init, dtype=float),
-                              self.P_lo, self.P_hi)
+        self.P_init = P_init
         self.dt = np.diff(self.t)
         self.u_ax, self.u_ay, self.u_r, self.u_delta = window.U.T
 
-        self.prior_x = window.prior_x.copy()
-        self.prior_P = np.clip(window.prior_P, self.P_lo, self.P_hi)
+        self.prior_x = window.prior_x
+        self.prior_P = window.prior_P
         self.w_x0 = 1.0 / np.sqrt(cov.Sigma_x0)
         self.w_P = 1.0 / np.sqrt(cov.Sigma_P)
         self.w_proc = 1.0 / np.sqrt(
@@ -257,9 +251,6 @@ class WindowProblem:
             off += sizes[name]
         self.nrows = off
         self.nvar = 6 * K + 12
-        # reused buffers; every written Jacobian slot is overwritten per call
-        self._r_buf = np.zeros(self.nrows)
-        self._J_buf = np.zeros((self.nrows, self.nvar))
         row = {name: self.slices[name].start for name in _CLASSES}
         ks = np.arange(K - 1)
         self._proc_ix = _block_index(row["process"] + 6 * ks, 6 * ks, 6, 12)
@@ -283,7 +274,7 @@ class WindowProblem:
 
     def residuals(self, z: np.ndarray) -> np.ndarray:
         X, P = self._split(z)
-        r = self._r_buf
+        r = np.empty(self.nrows)
         sl = self.slices
         r[sl["prior_state"]] = self.w_x0 * (X[0] - self.prior_x)
         r[sl["prior_params"]] = self.w_P * (P - self.prior_P)
@@ -323,7 +314,7 @@ class WindowProblem:
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         X, P = self._split(z)
-        J = self._J_buf
+        J = np.zeros((self.nrows, self.nvar))
         sl = self.slices
         J[sl["prior_state"], :6] = np.diag(self.w_x0)
         J[sl["prior_params"], 6 * self.K:] = np.diag(self.w_P)
@@ -371,7 +362,7 @@ def solve_problem(problem: WindowProblem) -> tuple[np.ndarray, SolveReport]:
     """
     t_start = time.perf_counter()
     z = problem.clamp(problem.z_init())
-    r = problem.residuals(z).copy()
+    r = problem.residuals(z)
     problem.check_finite(r)
     cost = initial_cost = problem.cost(r)
     dop = problem.slices["doppler"]
@@ -396,7 +387,7 @@ def solve_problem(problem: WindowProblem) -> tuple[np.ndarray, SolveReport]:
         if not cost_new < cost:
             term = "no_decrease"
             break
-        z, r, cost = z_new, r_new.copy(), cost_new
+        z, r, cost = z_new, r_new, cost_new
 
     report = SolveReport(
         iterations=iters,
@@ -445,18 +436,11 @@ class OutputRow:
     beta: float | None
 
 
-def estimate_outputs(window: SlidingWindow, P: np.ndarray,
-                     cfg: VehicleConfig, index: int = -1) -> OutputRow:
-    """Output row for one window state (newest by default).  Slip, force
-    and side-slip fields are None outside the lateral-force gate and at a
-    nonphysical (non-positive) vertical load."""
-    return _output_row(window.t[index], window.X[index], window.U[index], P,
-                       cfg)
-
-
-def _output_row(t: float, x: np.ndarray, u: np.ndarray, P: np.ndarray,
-                cfg: VehicleConfig) -> OutputRow:
-    """Output row of state x at time t with inputs u = [ax, ay, r, delta]."""
+def output_row(t: float, x: np.ndarray, u: np.ndarray, P: np.ndarray,
+               cfg: VehicleConfig) -> OutputRow:
+    """Output row of state x at time t with U row u = [ax, ay, r, delta].
+    Slip, force and side-slip fields are None outside the lateral-force
+    gate and at a nonphysical (non-positive) vertical load."""
     ax_meas, delta = u[0], u[3]
     alpha_f = alpha_r = fyf = fyr = beta = None
     if tire.force_gate(x[0], x[1], ax_meas, delta, cfg):
@@ -484,11 +468,10 @@ class Estimator:
     it left the window.
     """
 
-    def __init__(self, cfg: VehicleConfig, p_init: np.ndarray | None = None):
+    def __init__(self, cfg: VehicleConfig):
         self.cfg = cfg
         self.window = SlidingWindow(cfg)
-        P0 = cfg.initial_params if p_init is None else p_init
-        self.P = np.clip(P0, cfg.bounds.full_min(), cfg.bounds.full_max())
+        self.P = self.window.prior_P.copy()
         self.rows: list[OutputRow] = []
         self.reports: list[SolveReport] = []
         self.counters = {
@@ -496,13 +479,14 @@ class Estimator:
             "stale_scans": 0, "stale_events": 0, "doppler_accepted": 0,
             "doppler_rejected": 0, "zv_states": 0, "solves": 0,
             "watchdog_solves": 0, "delta_clamped": 0,
-            "unknown_radar_scans": 0,
+            "unknown_radar_scans": 0, "late_imu": 0,
         }
         self._imu_buffer: deque[ImuSample] = deque()
-        self._input_hist: deque[InputSample] = deque()
+        # (t, U row) per IMU sample, oldest first
+        self._input_hist: deque[tuple[float, tuple]] = deque()
         self._latest_delta = 0.0
         self._standstill = zupt.INITIAL_STANDSTILL
-        self.attitude: zupt.AttitudeEstimate | None = None
+        self.gravity_body: np.ndarray | None = None
         self._speed_proxy: float | None = None
         self._have_fix = False
         self._next_grid_t: float | None = None
@@ -510,13 +494,14 @@ class Estimator:
 
     # -- input bookkeeping ------------------------------------------------
 
-    def _current_input(self, t: float) -> InputSample:
-        """The newest held input sample at or before t, else zero
-        accelerations and yaw rate with the latest steering angle."""
-        for u in reversed(self._input_hist):
-            if u.t <= t + _T_EPS:
+    def _current_input(self, t: float) -> tuple:
+        """The U row (ax, ay, r, delta) of the newest held IMU sample at or
+        before t, else zero accelerations and yaw rate with the latest
+        steering angle."""
+        for t_u, u in reversed(self._input_hist):
+            if t_u <= t + _T_EPS:
                 return u
-        return InputSample(t, 0.0, 0.0, 0.0, self._latest_delta)
+        return (0.0, 0.0, 0.0, self._latest_delta)
 
     def _note_imu(self, ev: ImuSample) -> None:
         self.counters["imu"] += 1
@@ -525,10 +510,9 @@ class Estimator:
         horizon = self.cfg.thresholds.T_stop + 0.5
         while buf and buf[0].t < ev.t - horizon:
             buf.popleft()
-        u = InputSample(ev.t, ev.ax, ev.ay, ev.r, self._latest_delta)
         hist = self._input_hist
-        hist.append(u)
-        while hist and hist[0].t < ev.t - 1.0:
+        hist.append((ev.t, (ev.ax, ev.ay, ev.r, self._latest_delta)))
+        while hist and hist[0][0] < ev.t - 1.0:
             hist.popleft()
         self._update_standstill(ev)
 
@@ -564,24 +548,32 @@ class Estimator:
         # estimated under the level assumption too: a window too short for
         # an attitude leaves this standstill without ZUPT targets
         try:
-            att = zupt.estimate_attitude(samples, self.cfg)
+            g_body = zupt.estimate_attitude(samples, self.cfg)
         except EstimatorError:
-            self.attitude = None
+            self.gravity_body = None
             return
         if self.cfg.assume_level_standstill:
-            self.attitude = zupt.level_attitude(self.cfg.g)
-        else:
-            self.attitude = att
+            g_body = np.array([0.0, 0.0, -self.cfg.g])
+        self.gravity_body = g_body
 
     # -- event ingestion ---------------------------------------------------
 
     def attach(self, ev) -> bool:
-        """Route one event into the window; True when a solve is due.  A
-        scan from a radar the config does not list is counted and dropped
-        before it touches any state, as if it were not logged."""
+        """Route one event into the window; True when a solve is due.
+
+        Three kinds of event are counted and dropped before they touch any
+        state, as if they were not logged: a scan from a radar the config
+        does not list (unknown_radar_scans), an IMU sample at or before
+        the newest held one (late_imu), and any other non-radar event
+        older than the window start (stale_events).
+        """
         if (isinstance(ev, RadarScan)
                 and not 0 <= ev.radar_id < len(self.cfg.radars)):
             self.counters["unknown_radar_scans"] += 1
+            return False
+        if (isinstance(ev, ImuSample) and self._input_hist
+                and ev.t <= self._input_hist[-1][0]):
+            self.counters["late_imu"] += 1
             return False
         t_ev = event_time(ev)
         if not len(self.window.t):
@@ -589,9 +581,9 @@ class Estimator:
             self._next_grid_t = t_ev + self.cfg.thresholds.dt
             self._last_solve_t = t_ev
         elif (not isinstance(ev, RadarScan)
-              and t_ev < self.window.oldest_t() - _T_EPS):
+              and t_ev < self.window.t[0] - _T_EPS):
             self.counters["stale_events"] += 1
-            raise StaleEventError(f"event at {t_ev} predates window")
+            return False
 
         if isinstance(ev, ImuSample):
             self._note_imu(ev)
@@ -612,10 +604,10 @@ class Estimator:
             tg = self._next_grid_t
             u = self._current_input(tg)
             self.window.push_state(tg, u)
-            if self._standstill.stationary and self.attitude is not None:
-                ax_t, ay_t = zupt.gravity_compensate(
-                    u.ax_meas, u.ay_meas, self.attitude)
-                self.window.zv[-1] = (ax_t, ay_t, u.r_meas)
+            if self._standstill.stationary and self.gravity_body is not None:
+                ax_t, ay_t = zupt.gravity_compensate(u[0], u[1],
+                                                     self.gravity_body)
+                self.window.zv[-1] = (ax_t, ay_t, u[2])
                 self.counters["zv_states"] += 1
             self._next_grid_t = tg + dt
             if (tg - self._last_solve_t
@@ -645,11 +637,7 @@ class Estimator:
         return bool(len(rows))
 
     def process_event(self, ev) -> None:
-        try:
-            trigger = self.attach(ev)
-        except StaleEventError:
-            return
-        if trigger:
+        if self.attach(ev):
             self._solve_and_shift(event_time(ev), "radar")
             self._have_fix = True
 
@@ -666,7 +654,7 @@ class Estimator:
 
     def _emit(self, t, X, U) -> None:
         for row in zip(t, X, U):
-            self.rows.append(_output_row(*row, self.P, self.cfg))
+            self.rows.append(output_row(*row, self.P, self.cfg))
 
     def finalize(self) -> None:
         """Flush rows for grid states still inside the window."""
@@ -679,15 +667,14 @@ class Estimator:
         return self.counters["zv_states"] > 0
 
 
-def replay_events(events, cfg: VehicleConfig,
-                  p_init: np.ndarray | None = None) -> Estimator:
+def replay_events(events, cfg: VehicleConfig) -> Estimator:
     """Run the estimator over an iterable of events in arrival order.
 
     Cyclic garbage collection is paused during the replay; the estimator
     allocates no reference cycles and GC pauses would eat into the
     per-solve time budget.
     """
-    est = Estimator(cfg, p_init=p_init)
+    est = Estimator(cfg)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -27,6 +27,16 @@ from radgrip.radar import body_projection, bearing_vectors
 # lateral dynamics are frozen below this speed (vehicle crawling straight)
 _V_FLOOR = 1.0
 
+DT_SIM = 5e-4           # truth integration step (s)
+IMU_RATE = 200.0        # sensor sample rates (Hz)
+STEER_RATE = 100.0
+REF_RATE = 100.0
+# radar i captures at RADAR_PHASE + i * RADAR_OFFSET, then every
+# RADAR_PERIOD (s)
+RADAR_PERIOD = 0.060
+RADAR_OFFSET = 0.020
+RADAR_PHASE = 0.003
+
 
 # ---------------------------------------------------------------------------
 # Noise model
@@ -76,13 +86,6 @@ class NoiseConfig:
         if not (0.0 <= self.outlier_frac <= 1.0):
             raise RangeError("outlier_frac must be in [0, 1]")
         return self
-
-
-def noiseless() -> NoiseConfig:
-    return NoiseConfig(
-        imu_accel_std=0.0, imu_gyro_std=0.0, imu_accel_bias=(0.0, 0.0),
-        imu_gyro_bias=0.0, sigma_N=0.0, sigma_theta=0.0, sigma_phi=0.0,
-        gamma_vd=0.0, mu_td=0.0, sigma_td=0.0, snr_lo=20.0, snr_hi=20.0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +212,15 @@ class TruthTrajectory:
 
 
 def simulate_truth(script: ManeuverScript, P_truth: np.ndarray,
-                   cfg: VehicleConfig, dt_sim: float = 5e-4
-                   ) -> TruthTrajectory:
+                   cfg: VehicleConfig) -> TruthTrajectory:
     """Integrate the single-track truth dynamics over the script.
 
     vx follows the scripted speed profile; vy and r integrate the tire
     forces; below a small speed floor the lateral dynamics are frozen.
     Raises TruthDivergenceError if |vy| exceeds vx at speed.
     """
-    if dt_sim > 1e-3:
-        raise RangeError("dt_sim must be <= 1 ms")
-    n = int(round(script.duration() / dt_sim)) + 1
-    t = np.arange(n) * dt_sim
+    n = int(round(script.duration() / DT_SIM)) + 1
+    t = np.arange(n) * DT_SIM
 
     vx_prof = np.empty(n)
     delta_prof = np.empty(n)
@@ -242,7 +242,7 @@ def simulate_truth(script: ManeuverScript, P_truth: np.ndarray,
             vx_prof[i] = v_entry + (seg.v_end - v_entry) * frac
         delta_prof[i] = seg.steer_at(tl)
 
-    dvx = np.gradient(vx_prof, dt_sim)
+    dvx = np.gradient(vx_prof, DT_SIM)
     vy = np.zeros(n)
     r = np.zeros(n)
     ax = np.zeros(n)
@@ -277,13 +277,13 @@ def simulate_truth(script: ManeuverScript, P_truth: np.ndarray,
         ax[i], ay[i] = ax_k, ay_k
         Fyf[i], Fyr[i] = Fyf_k, Fyr_k
         af[i], ar[i] = af_k, ar_k
-        vy_k += vy_dot * dt_sim
-        r_k += r_dot * dt_sim
+        vy_k += vy_dot * DT_SIM
+        r_k += r_dot * DT_SIM
         if abs(vy_k) > max(vx_k, _V_FLOOR):
             raise TruthDivergenceError(
                 f"truth diverged at t={t[i]:.3f}s (|vy|={abs(vy_k):.2f} "
                 f"> vx={vx_k:.2f})")
-    return TruthTrajectory(dt_sim, t, vx_prof, vy, r, ax, ay, delta_prof,
+    return TruthTrajectory(DT_SIM, t, vx_prof, vy, r, ax, ay, delta_prof,
                            Fyf, Fyr, af, ar)
 
 
@@ -292,16 +292,11 @@ def simulate_truth(script: ManeuverScript, P_truth: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def gen_imu(truth: TruthTrajectory, noise: NoiseConfig,
-            rate: float = 200.0, rng: np.random.Generator | None = None
-            ) -> list[ImuSample]:
-    """Sample the truth at the IMU rate, adding white noise and the
+            rng: np.random.Generator) -> list[ImuSample]:
+    """Sample the truth at IMU_RATE, adding white noise and the
     configured constant biases.  az/gx/gy carry the level-vehicle values."""
-    if rate > 1.0 / truth.dt_sim + 1e-9:
-        raise RangeError("imu rate exceeds the truth resolution")
-    if rng is None:
-        rng = np.random.default_rng(noise.seed)
-    n = int(math.floor(truth.t[-1] * rate)) + 1
-    ts = np.arange(n) / rate
+    n = int(math.floor(truth.t[-1] * IMU_RATE)) + 1
+    ts = np.arange(n) / IMU_RATE
     idx = np.round(ts / truth.dt_sim).astype(int)
     idx = np.clip(idx, 0, len(truth.t) - 1)
     sa, sg = noise.imu_accel_std, noise.imu_gyro_std
@@ -383,11 +378,7 @@ def gen_radar_scan(truth: TruthTrajectory, t_capture: float,
 
 
 def run_scenario(script: ManeuverScript, P_truth: np.ndarray,
-                 noise: NoiseConfig, cfg: VehicleConfig,
-                 dt_sim: float = 5e-4, imu_rate: float = 200.0,
-                 steer_rate: float = 100.0, ref_rate: float = 100.0,
-                 radar_period: float = 0.060, radar_offset: float = 0.020,
-                 radar_phase: float = 0.003):
+                 noise: NoiseConfig, cfg: VehicleConfig):
     """Generate the full interleaved sensor stream plus the aligned truth.
 
     Returns (events, truth): events sorted by arrival time (radar scans by
@@ -397,27 +388,27 @@ def run_scenario(script: ManeuverScript, P_truth: np.ndarray,
     exercised.
     """
     noise.validate()
-    truth = simulate_truth(script, P_truth, cfg, dt_sim)
+    truth = simulate_truth(script, P_truth, cfg)
     rng = np.random.default_rng(noise.seed)
     events: list = []
-    events.extend(gen_imu(truth, noise, imu_rate, rng))
+    events.extend(gen_imu(truth, noise, rng))
     t_end = truth.t[-1]
-    n_st = int(math.floor(t_end * steer_rate)) + 1
+    n_st = int(math.floor(t_end * STEER_RATE)) + 1
     for k in range(n_st):
-        t = k / steer_rate
+        t = k / STEER_RATE
         events.append(SteeringSample(t, float(
             truth.delta[truth.index_at(t)])))
-    n_rf = int(math.floor(t_end * ref_rate)) + 1
+    n_rf = int(math.floor(t_end * REF_RATE)) + 1
     for k in range(n_rf):
-        t = k / ref_rate
+        t = k / REF_RATE
         i = truth.index_at(t)
         events.append(ReferenceVelocity(t, float(truth.vx[i]),
                                         float(truth.vy[i])))
     for rid, ext in enumerate(cfg.radars):
-        t_cap = radar_phase + rid * radar_offset
+        t_cap = RADAR_PHASE + rid * RADAR_OFFSET
         while t_cap <= t_end + 1e-9:
             events.append(gen_radar_scan(truth, t_cap, rid, ext, noise, rng))
-            t_cap += radar_period
+            t_cap += RADAR_PERIOD
     rank = {SteeringSample: 0, ImuSample: 1, ReferenceVelocity: 2,
             RadarScan: 3}
     events.sort(key=lambda ev: (event_time(ev), rank[type(ev)]))

@@ -2,9 +2,11 @@
 and the zero-velocity measurement model used to initialize IMU biases.
 
 Conventions: world z is up, world gravity is (0, 0, -g); body z is up and a
-resting accelerometer reads +g on its up axis.  gravity_body is
-R_world_to_body @ (0, 0, -g), so a resting accelerometer reads
--gravity_body.
+resting accelerometer reads +g on its up axis.  The attitude at rest is
+carried as gravity_body, the (3,) world gravity (0, 0, -g) expressed in
+body axes, so a resting accelerometer reads -gravity_body; a level vehicle
+has gravity_body = (0, 0, -g).  Yaw is unobservable at rest, and nothing
+downstream needs more of the attitude than this vector.
 """
 
 from __future__ import annotations
@@ -16,12 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from radgrip.core import ImuSample, InsufficientDataError, VehicleConfig
-
-
-@dataclass
-class AttitudeEstimate:
-    rotation_world_to_body: np.ndarray
-    gravity_body: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -54,20 +50,15 @@ def update_standstill(status: StandstillStatus, speed_est: float | None,
     return StandstillStatus(t - since >= th.T_stop, since)
 
 
-def level_attitude(g: float) -> AttitudeEstimate:
-    return AttitudeEstimate(np.eye(3), np.array([0.0, 0.0, -g]))
-
-
 def estimate_attitude(imu_window: Sequence[ImuSample],
-                      cfg: VehicleConfig) -> AttitudeEstimate:
-    """Attitude from a standstill IMU window, in closed form.
+                      cfg: VehicleConfig) -> np.ndarray:
+    """gravity_body (3,) from a standstill IMU window, in closed form.
 
     At rest the accelerometer measures the reaction to gravity, so the
-    mean accelerometer direction is world-up in body axes: gravity_body is
-    -g along it, and rotation_world_to_body is the smallest rotation taking
-    world z onto it (yaw is unobservable at rest and set to zero).
-    Samples missing az are completed with a level-vehicle az = g.  Raises
-    InsufficientDataError when the window does not span T_stop.
+    mean accelerometer direction is world-up in body axes, and
+    gravity_body is -g along it.  Samples missing az are completed with a
+    level-vehicle az = g.  Raises InsufficientDataError when the window
+    does not span T_stop.
     """
     samples = list(imu_window)
     if len(samples) < 2:
@@ -81,22 +72,14 @@ def estimate_attitude(imu_window: Sequence[ImuSample],
                     for s in samples])
     up = acc.mean(axis=0)
     up /= np.linalg.norm(up)
-    # Rodrigues rotation about z x up; a half turn about x when upside down
-    c = up[2]
-    if c < -0.999999:
-        R_wb = np.diag([1.0, -1.0, -1.0])
-    else:
-        V = np.array([[0.0, 0.0, up[0]], [0.0, 0.0, up[1]],
-                      [-up[0], -up[1], 0.0]])
-        R_wb = np.eye(3) + V + V @ V / (1.0 + c)
-    return AttitudeEstimate(R_wb, -cfg.g * up)
+    return -cfg.g * up
 
 
 def gravity_compensate(ax_meas: float, ay_meas: float,
-                       att: AttitudeEstimate) -> tuple[float, float]:
+                       gravity_body: np.ndarray) -> tuple[float, float]:
     """Measured accelerations with gravity removed: a resting
     accelerometer reads -gravity_body, so adding gravity_body cancels it."""
-    return (ax_meas + att.gravity_body[0], ay_meas + att.gravity_body[1])
+    return (ax_meas + gravity_body[0], ay_meas + gravity_body[1])
 
 
 def zv_residual(X, zv, w) -> np.ndarray:

@@ -2,6 +2,8 @@ import gzip
 import json
 import os
 
+import pytest
+
 from radgrip import cli, mhe
 from radgrip.core import ImuSample, serialize_event
 
@@ -53,36 +55,75 @@ def test_missing_log_exits_2(tmp_path):
 def test_malformed_line_exits_2_naming_its_line(tmp_path, capsys):
     log = os.path.join(str(tmp_path), "log.jsonl")
     out = os.path.join(str(tmp_path), "est.csv")
-    # bad JSON, and a time too large for a float
-    for bad in ("{not json",
-                '{"type":"imu","t":' + "1" * 401 + ',"ax":0,"ay":0,"r":0}'):
-        with open(log, "w") as fh:
-            fh.write(serialize_event(ImuSample(0.0, 0.0, 0.0, 0.0)) + "\n")
-            fh.write(bad + "\n")
+    # bad JSON, a time too large for a float, and bytes that are not UTF-8
+    for bad in (b"{not json",
+                b'{"type":"imu","t":' + b"1" * 401 + b',"ax":0,"ay":0,"r":0}',
+                b"\xff\xfe"):
+        with open(log, "wb") as fh:
+            fh.write(serialize_event(ImuSample(0.0, 0.0, 0.0, 0.0)).encode()
+                     + b"\n" + bad + b"\n")
         assert cli.main(["estimate", log, "--out", out]) == 2
         assert f"{log}:2:" in capsys.readouterr().err
 
 
-def test_unknown_radar_scan_is_counted_and_dropped(tmp_path):
+def _lines_3s():
     with gzip.open(LOG_3S, "rt", encoding="utf-8") as fh:
-        lines = fh.read().splitlines(keepends=True)
+        return fh.read().splitlines(keepends=True)
+
+
+def _estimate(tmp_path, name, lines):
+    """(CSV bytes, counters) of `radgrip estimate` on a log of lines."""
+    log = os.path.join(str(tmp_path), f"{name}.jsonl")
+    with open(log, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    csv = os.path.join(str(tmp_path), f"{name}.csv")
+    assert cli.main(["estimate", log, "--out", csv]) == 0
+    with open(csv, "rb") as fh, open(csv + ".summary.json") as fs:
+        return fh.read(), json.load(fs)["counters"]
+
+
+def test_unknown_radar_scan_is_counted_and_dropped(tmp_path):
+    lines = _lines_3s()
     i = [k for k, line in enumerate(lines) if '"radar"' in line][100]
     rec = json.loads(lines[i])
     rec["radar_id"] = 7
-    runs = {"unknown": lines[:i] + [json.dumps(rec) + "\n"] + lines[i + 1:],
-            "absent": lines[:i] + lines[i + 1:]}
-    csv = {}
-    for name, log_lines in runs.items():
-        log = os.path.join(str(tmp_path), f"{name}.jsonl")
-        with open(log, "w", encoding="utf-8") as fh:
-            fh.writelines(log_lines)
-        csv[name] = os.path.join(str(tmp_path), f"{name}.csv")
-        assert cli.main(["estimate", log, "--out", csv[name]]) == 0
-    with open(csv["unknown"] + ".summary.json") as fh:
-        assert json.load(fh)["counters"]["unknown_radar_scans"] == 1
-    with open(csv["unknown"], "rb") as a, open(csv["absent"], "rb") as b:
-        assert a.read() == b.read()
+    unknown = lines[:i] + [json.dumps(rec) + "\n"] + lines[i + 1:]
+    csv, counters = _estimate(tmp_path, "unknown", unknown)
+    assert counters["unknown_radar_scans"] == 1
+    assert csv == _estimate(tmp_path, "absent", lines[:i] + lines[i + 1:])[0]
 
+
+def _late_imu(lines):
+    """The IMU sample at t = 2 s moved 3 samples later, and the log without
+    it."""
+    imu = [k for k, line in enumerate(lines)
+           if json.loads(line)["type"] == "imu"]
+    n = next(n for n, k in enumerate(imu) if json.loads(lines[k])["t"] >= 2.0)
+    i, j = imu[n], imu[n + 3]
+    without = lines[:i] + lines[i + 1:]
+    return without[:j] + [lines[i]] + without[j:], without
+
+
+def _stale_steering(lines):
+    """The steering sample at t = 0.5 s sent again after the one at
+    t = 2 s, and the log as it is."""
+    steer = [k for k, line in enumerate(lines)
+             if json.loads(line)["type"] == "steering"]
+    at = {json.loads(lines[k])["t"]: k for k in steer}
+    k = at[2.0] + 1
+    return lines[:k] + [lines[at[0.5]]] + lines[k:], lines
+
+
+@pytest.mark.parametrize("mutate, counter", [
+    (_late_imu, "late_imu"),
+    (_stale_steering, "stale_events"),
+], ids=["late_imu", "stale_steering"])
+def test_dropped_event_is_counted_and_leaves_the_estimate(tmp_path, mutate,
+                                                          counter):
+    mutated, reference = mutate(_lines_3s())
+    csv, counters = _estimate(tmp_path, "mutated", mutated)
+    assert counters[counter] == 1
+    assert csv == _estimate(tmp_path, "reference", reference)[0]
 
 def test_bench_exits_3_naming_the_first_differing_solve(tmp_path,
                                                         monkeypatch, capsys):
@@ -106,3 +147,23 @@ def test_bench_exits_3_naming_the_first_differing_solve(tmp_path,
     assert cli.main(["bench", log, "--repetitions", "2"]) == 3
     assert len(runs[0].reports) > 1
     assert "solve 1 of repetition 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("est_csv, named", [
+    (b"t,vx\n0.0,abc\n", "'vx'"),
+    (b"x,y\n0.0,1\n", "'t'"),
+    (b"t,vx\n\xff\xfe\n", "cannot read CSV"),
+], ids=["non_numeric_cell", "missing_t", "invalid_utf8"])
+def test_unusable_estimate_csv_exits_2_naming_file_and_column(
+        tmp_path, capsys, est_csv, named):
+    est = os.path.join(str(tmp_path), "est.csv")
+    truth = os.path.join(str(tmp_path), "truth.csv")
+    with open(est, "wb") as fh:
+        fh.write(est_csv)
+    with open(truth, "w", encoding="utf-8") as fh:
+        fh.write(",".join(cli.TRUTH_CSV_COLUMNS) + "\n")
+        fh.write(",".join("0" for _ in cli.TRUTH_CSV_COLUMNS) + "\n")
+    assert cli.main(["metrics", est, truth]) == 2
+    err = capsys.readouterr().err
+    assert est in err and named in err
+

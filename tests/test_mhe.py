@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from radgrip import mhe
-from radgrip.core import (ImuSample, InputSample, RadarPoint, RadarScan,
-                          SteeringSample, WindowOrderError,
-                          default_config)
+from radgrip.core import (ImuSample, RadarPoint, RadarScan, SteeringSample,
+                          WindowOrderError, default_config)
 from radgrip.mhe import (Estimator, SlidingWindow, SolveReport,
-                         WindowProblem, estimate_outputs, replay_events,
+                         WindowProblem, output_row, replay_events,
                          solve, solve_problem)
 from radgrip.radar import (bearing_vectors, body_projection,
                            expected_doppler, scan_to_factors)
@@ -26,41 +25,40 @@ def _v_e(vx, azimuth, elevation):
     return float(expected_doppler(x, *body_projection(CFG.radars[0], b))[0])
 
 
-def _zero_input(t):
-    return InputSample(t, 0.0, 0.0, 0.0, 0.0)
+ZERO_U = (0.0, 0.0, 0.0, 0.0)     # U row: no acceleration, yaw or steer
 
 
 def _attach(win, scan):
     """Bind a scan's Doppler rows to the window as the estimator does."""
-    x = win.ensure_state_at(scan.t_capture, _zero_input(scan.t_capture))
+    x = win.ensure_state_at(scan.t_capture, ZERO_U)
     win.dop = np.concatenate((win.dop, scan_to_factors(scan, x, CFG)))
 
 
 def _cruise_window(vx=15.0, n=15, with_scans=3):
     """Window at exact constant-velocity truth with exact Doppler factors."""
     win = SlidingWindow(CFG)
-    win.seed(0.0, _zero_input(0.0))
+    win.seed(0.0, ZERO_U)
     win.X[0, 0] = vx
     for k in range(1, n):
-        win.push_state(k * DT, _zero_input(k * DT))
+        win.push_state(k * DT, ZERO_U)
     win.prior_x = win.X[0].copy()
     win.prior_P = P_TRUTH_DEFAULT.copy()
     rng = np.random.default_rng(0)
     for s in range(with_scans):
-        t_cap = win.newest_t() - 0.0205 * (s + 1) - 0.0032
+        t_cap = win.t[-1] - 0.0205 * (s + 1) - 0.0032
         pts = []
         for _ in range(8):
             az = float(rng.uniform(-0.5, 0.5))
             el = float(rng.uniform(-0.1, 0.1))
             v = _v_e(vx, az, el)
             pts.append(RadarPoint(10.0, az, el, wrap(v, 26.5), 25.0))
-        _attach(win, RadarScan(0, t_cap, win.newest_t(), tuple(pts)))
+        _attach(win, RadarScan(0, t_cap, win.t[-1], tuple(pts)))
     return win
 
 
-def test_push_state_bootstrap():
+def test_seed_bootstrap():
     win = SlidingWindow(CFG)
-    win.push_state(0.0, _zero_input(0.0))
+    win.seed(0.0, ZERO_U)
     assert len(win.t) == 1
     assert np.allclose(win.X[0, :3], 0.0)
     assert np.allclose(win.X[0, 3:], CFG.initial_biases)
@@ -68,20 +66,20 @@ def test_push_state_bootstrap():
 
 def test_push_state_span_tracks_horizon():
     win = SlidingWindow(CFG)
-    win.seed(0.0, _zero_input(0.0))
+    win.seed(0.0, ZERO_U)
     for k in range(1, 15):
-        win.push_state(k * DT, _zero_input(k * DT))
-    assert win.span() == pytest.approx(0.14)
-    win.push_state(0.15, _zero_input(0.15))
-    assert win.span() == pytest.approx(0.15)
+        win.push_state(k * DT, ZERO_U)
+    assert win.t[-1] - win.t[0] == pytest.approx(0.14)
+    win.push_state(0.15, ZERO_U)
+    assert win.t[-1] - win.t[0] == pytest.approx(0.15)
 
 
 def test_push_state_order_guard():
     win = SlidingWindow(CFG)
-    win.seed(0.0, _zero_input(0.0))
-    win.push_state(DT, _zero_input(DT))
+    win.seed(0.0, ZERO_U)
+    win.push_state(DT, ZERO_U)
     with pytest.raises(WindowOrderError):
-        win.push_state(DT, _zero_input(DT))
+        win.push_state(DT, ZERO_U)
 
 
 def test_solve_noiseless_truth_initialized():
@@ -149,20 +147,20 @@ def test_solve_clamps_params_into_box():
 
 def test_shift_span_arithmetic():
     win = SlidingWindow(CFG)
-    win.seed(0.0, _zero_input(0.0))
+    win.seed(0.0, ZERO_U)
     for k in range(1, 18):
-        win.push_state(k * DT, _zero_input(k * DT))
-    assert win.span() == pytest.approx(0.17)
+        win.push_state(k * DT, ZERO_U)
+    assert win.t[-1] - win.t[0] == pytest.approx(0.17)
     evicted_t, _, _ = win.shift(P_TRUTH_DEFAULT)
     assert len(evicted_t) == 2
-    assert win.span() == pytest.approx(0.15)
+    assert win.t[-1] - win.t[0] == pytest.approx(0.15)
 
 
 def test_shift_refreshes_priors_and_drops_factors():
     win = _cruise_window(n=18, with_scans=0)
     # factor bound near the start gets evicted with its state
     pts = [RadarPoint(10.0, 0.0, 0.0, wrap(_v_e(15.0, 0, 0), 26.5), 25.0)]
-    _attach(win, RadarScan(0, win.oldest_t() + 0.0052, win.newest_t(),
+    _attach(win, RadarScan(0, win.t[0] + 0.0052, win.t[-1],
                            tuple(pts)))
     assert len(win.dop) == 1
     P_new = P_TRUTH_DEFAULT * 1.01
@@ -247,7 +245,7 @@ def test_watchdog_solves_on_radar_silence():
         est.process_event(ImuSample(round(t, 6), 0.0, 0.0, 0.0))
         t += 0.005
     assert est.counters["watchdog_solves"] >= 3
-    assert est.window.span() <= CFG.thresholds.dTw + 1e-9
+    assert est.window.t[-1] - est.window.t[0] <= CFG.thresholds.dTw + 1e-9
 
 
 def test_replay_deterministic():
@@ -272,7 +270,7 @@ def test_prior_continuity_on_noiseless_data():
 
 def test_estimate_outputs_straight_running():
     win = _cruise_window(vx=20.0, with_scans=0)
-    row = estimate_outputs(win, P_TRUTH_DEFAULT, CFG)
+    row = output_row(win.t[-1], win.X[-1], win.U[-1], P_TRUTH_DEFAULT, CFG)
     assert row.beta == pytest.approx(0.0, abs=1e-12)
     assert row.Fyf == pytest.approx(0.0, abs=1e-9)
     assert row.alpha_f == pytest.approx(0.0, abs=1e-12)
@@ -282,7 +280,7 @@ def test_estimate_outputs_straight_running():
 
 def test_estimate_outputs_below_gate_emits_nulls():
     win = _cruise_window(vx=3.0, with_scans=0)
-    row = estimate_outputs(win, P_TRUTH_DEFAULT, CFG)
+    row = output_row(win.t[-1], win.X[-1], win.U[-1], P_TRUTH_DEFAULT, CFG)
     assert row.alpha_f is None and row.Fyf is None and row.beta is None
     assert row.BCD_f > 0
 

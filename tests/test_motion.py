@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from radgrip.core import (InputSample, NumericError, WindowOrderError,
-                          default_config)
+from radgrip.core import NumericError, WindowOrderError, default_config
 from radgrip.mhe import SlidingWindow, WindowProblem
 from radgrip.motion import (predict_array, process_residual,
                             transition_jacobian)
@@ -105,7 +104,7 @@ def test_process_residual_whitening():
     cfg = default_config()
     cfg.covariances.Sigma_w = np.array([0.01, 1.0, 1.0, 1.0, 1.0, 1.0])
     win = SlidingWindow(cfg)
-    u = InputSample(0.0, 0.0, 0.0, 0.0, 0.0)
+    u = (0.0, 0.0, 0.0, 0.0)
     win.seed(0.0, u)
     win.X[0, 0] = 5.0
     win.push_state(0.01, u)
@@ -127,7 +126,7 @@ def test_process_residual_rejects_nonpositive_dt():
     # the window refuses a state that does not advance time, so no process
     # residual is ever formed over dt <= 0
     win = SlidingWindow(default_config())
-    u = InputSample(0.0, 0.0, 0.0, 0.0, 0.0)
+    u = (0.0, 0.0, 0.0, 0.0)
     win.seed(0.0, u)
     with pytest.raises(WindowOrderError):
         win.push_state(0.0, u)
@@ -136,7 +135,7 @@ def test_process_residual_rejects_nonpositive_dt():
 def test_nonfinite_state_raises_numeric_error():
     cfg = default_config()
     win = SlidingWindow(cfg)
-    u = InputSample(0.0, 0.0, 0.0, 0.0, 0.0)
+    u = (0.0, 0.0, 0.0, 0.0)
     win.seed(0.0, u)
     win.push_state(0.01, u)
     win.X[0, 0] = float("nan")

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from radgrip.core import (ImuSample, InputSample, RadarPoint, RadarScan,
-                          StaleScanError, default_config)
+from radgrip.core import (ImuSample, RadarPoint, RadarScan, StaleScanError,
+                          default_config)
 from radgrip.mhe import Estimator, SlidingWindow
 from radgrip.radar import (REJECT_ALIAS, REJECT_INNOVATION, REJECT_LOW_SNR,
                            bearing_vectors, body_projection, dealias,
@@ -85,7 +85,7 @@ def test_dealias_rejects_out_of_band_measurement():
     win = _window_at_speed(20.0)
     pts = [RadarPoint(10.0, 0.0, 0.0, -20.0, 25.0),
            RadarPoint(10.0, 0.1, 0.0, 30.0, 25.0)]
-    rows = _bind(win, _scan(pts, win.newest_t() - 0.05, win.newest_t()))
+    rows = _bind(win, _scan(pts, win.t[-1] - 0.05, win.t[-1]))
     assert len(rows) == 1 and rows[0, 1] == pytest.approx(-20.0)
     # the estimator counts the point and carries on
     est = Estimator(CFG)
@@ -142,12 +142,12 @@ def test_gate_monotone_in_snr():
 
 def _window_at_speed(vx, t_end=1.0):
     win = SlidingWindow(CFG)
-    u = InputSample(0.0, 0.0, 0.0, 0.0, 0.0)
+    u = (0.0, 0.0, 0.0, 0.0)
     win.seed(0.0, u)
     win.X[0, 0] = vx
     t = CFG.thresholds.dt
     while t <= t_end + 1e-9:
-        win.push_state(t, InputSample(t, 0.0, 0.0, 0.0, 0.0))
+        win.push_state(t, (0.0, 0.0, 0.0, 0.0))
         t += CFG.thresholds.dt
     return win
 
@@ -161,14 +161,14 @@ def _bind(win, scan):
     inserted as the estimator does."""
     t = scan.t_capture
     return scan_to_factors(
-        scan, win.ensure_state_at(t, InputSample(t, 0.0, 0.0, 0.0, 0.0)),
+        scan, win.ensure_state_at(t, (0.0, 0.0, 0.0, 0.0)),
         CFG)
 
 
 def test_scan_inserts_state_back_in_time():
     # capture 90.3 ms back falls between grid states and forces insertion
     win = _window_at_speed(20.0)
-    newest = win.newest_t()
+    newest = win.t[-1]
     t_cap = newest - 0.0903
     pts = [RadarPoint(10.0, 0.0, 0.0, wrap(-20.0, 26.5), 25.0)]
     n_before = len(win.t)
@@ -186,7 +186,7 @@ def test_scan_ninety_ms_back_binds_at_capture_time():
     # a capture exactly 90 ms back coincides with the state grid here, so
     # the factor binds to that state without inserting a duplicate
     win = _window_at_speed(20.0)
-    newest = win.newest_t()
+    newest = win.t[-1]
     t_cap = newest - 0.09
     pts = [RadarPoint(10.0, 0.0, 0.0, wrap(-20.0, 26.5), 25.0)]
     n_before = len(win.t)
@@ -200,14 +200,14 @@ def test_scan_binds_to_existing_grid_state():
     t_cap = win.t[-3]
     pts = [RadarPoint(10.0, 0.0, 0.0, wrap(-20.0, 26.5), 25.0)]
     n_before = len(win.t)
-    _bind(win, _scan(pts, t_cap, win.newest_t()))
+    _bind(win, _scan(pts, t_cap, win.t[-1]))
     assert len(win.t) == n_before
 
 
 def test_scan_fully_gated_yields_no_factors():
     win = _window_at_speed(20.0)
     pts = [RadarPoint(10.0, 0.0, 0.0, wrap(-20.0, 26.5), 2.0)]  # low SNR
-    rows = _bind(win, _scan(pts, win.newest_t() - 0.05, win.newest_t()))
+    rows = _bind(win, _scan(pts, win.t[-1] - 0.05, win.t[-1]))
     assert len(rows) == 0
 
 
@@ -215,7 +215,7 @@ def test_stale_scan_rejected():
     win = _window_at_speed(20.0)
     pts = [RadarPoint(10.0, 0.0, 0.0, 0.0, 25.0)]
     with pytest.raises(StaleScanError):
-        _bind(win, _scan(pts, win.oldest_t() - 0.2, win.newest_t()))
+        _bind(win, _scan(pts, win.t[0] - 0.2, win.t[-1]))
 
 
 def _residual(row, x, sigma=None):
@@ -228,7 +228,7 @@ def test_doppler_residual_consistency():
     win = _window_at_speed(20.0)
     pts = [RadarPoint(10.0, 0.1, 0.02, wrap(
         _v_e(_x(vx=20.0), CFG.radars[0], 0.1, 0.02), 26.5), 25.0)]
-    f = _bind(win, _scan(pts, win.newest_t() - 0.05, win.newest_t()))[0]
+    f = _bind(win, _scan(pts, win.t[-1] - 0.05, win.t[-1]))[0]
     assert _residual(f, _x(vx=20.0)) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -238,7 +238,7 @@ def test_doppler_residual_velocity_error():
     v_true = _v_e(_x(vx=20.0), ext, 0.0, 0.0)
     win = _window_at_speed(20.0)
     pts = [RadarPoint(10.0, 0.0, 0.0, wrap(v_true, 26.5), 25.0)]
-    f = _bind(win, _scan(pts, win.newest_t() - 0.05, win.newest_t()))[0]
+    f = _bind(win, _scan(pts, win.t[-1] - 0.05, win.t[-1]))[0]
     res = _residual(f, _x(vx=19.0), sigma=0.2)
     assert abs(res) == pytest.approx(5.0, abs=1e-9)
 
@@ -249,7 +249,7 @@ def test_doppler_residual_lateral_orthogonality():
     v_true = _v_e(_x(vx=20.0, vy=0.5), ext, math.pi / 2, 0.0)
     win = _window_at_speed(20.0)
     pts = [RadarPoint(10.0, math.pi / 2, 0.0, wrap(v_true, 26.5), 25.0)]
-    f = _bind(win, _scan(pts, win.newest_t() - 0.05, win.newest_t()))[0]
+    f = _bind(win, _scan(pts, win.t[-1] - 0.05, win.t[-1]))[0]
     r1 = _residual(f, _x(vx=20.0, vy=0.5))
     r2 = _residual(f, _x(vx=15.0, vy=0.5))
     assert r1 == pytest.approx(r2, abs=1e-9)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from radgrip.core import InputSample, default_config
-from radgrip.mhe import SlidingWindow, WindowProblem, estimate_outputs
+from radgrip.core import default_config
+from radgrip.mhe import SlidingWindow, WindowProblem, output_row
 from radgrip.tire import (cornering_stiffness, force_gate, force_slip,
                           lateral_force_residual, magic_formula_derivs,
                           magic_formula_values, measured_lateral_forces,
@@ -24,10 +24,15 @@ def _x(vx, vy=0.0, r=0.0):
 def _window(vx, ax=0.0, ay=0.0, delta=0.0, cfg=CFG):
     """Two-state window at constant speed with the given inputs."""
     win = SlidingWindow(cfg)
-    win.seed(0.0, InputSample(0.0, ax, ay, 0.0, delta))
+    win.seed(0.0, (ax, ay, 0.0, delta))
     win.X[0, 0] = vx
-    win.push_state(0.01, InputSample(0.01, ax, ay, 0.0, delta))
+    win.push_state(0.01, (ax, ay, 0.0, delta))
     return win
+
+
+def _newest_row(win, P, cfg):
+    """Output row of the window's newest state."""
+    return output_row(win.t[-1], win.X[-1], win.U[-1], P, cfg)
 
 
 def _residual(x, ay, P, cfg, ax=0.0, delta=0.0):
@@ -61,7 +66,7 @@ def test_slip_angles_gate():
     gate = force_gate(np.array([2.0, 2.0, 6.0, -6.0]),
                       np.array([0.0, 6.0, 0.0, 0.0]), 0.0, 0.0, CFG)
     assert gate.tolist() == [False, False, True, True]
-    row = estimate_outputs(_window(2.0), CFG.initial_params, CFG)
+    row = _newest_row(_window(2.0), CFG.initial_params, CFG)
     assert row.alpha_f is None and row.alpha_r is None
 
 
@@ -88,10 +93,10 @@ def test_vertical_load_domain_error():
     # force fields empty there
     Fzf, _ = vertical_loads(10.0, 60.0, EX)
     assert Fzf < 0.0
-    row = estimate_outputs(_window(10.0, ax=60.0, cfg=EX),
-                           EX.initial_params, EX)
+    row = _newest_row(_window(10.0, ax=60.0, cfg=EX),
+                      EX.initial_params, EX)
     assert row.alpha_f is None and row.Fyf is None and row.beta is None
-    row = estimate_outputs(_window(10.0, cfg=EX), EX.initial_params, EX)
+    row = _newest_row(_window(10.0, cfg=EX), EX.initial_params, EX)
     assert row.alpha_f is not None and row.Fyf is not None
 
 

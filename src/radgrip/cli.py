@@ -261,8 +261,14 @@ def compute_metrics(est_csv: str, truth_csv: str,
     solve_time = None
     summary_path = est_csv + ".summary.json"
     if os.path.exists(summary_path):
-        with open(summary_path, "r", encoding="utf-8") as fh:
-            solve_time = json.load(fh).get("solve_time")
+        try:
+            with open(summary_path, "r", encoding="utf-8") as fh:
+                summary = json.load(fh)
+        except (OSError, ValueError) as e:
+            raise IoError(f"cannot read summary {summary_path!r}: {e}") from e
+        if not isinstance(summary, dict):
+            raise SchemaError(f"{summary_path}: not a JSON object")
+        solve_time = summary.get("solve_time")
     return MetricsReport(channels, conv, solve_time)
 
 

@@ -127,9 +127,9 @@ class RadarExtrinsics:
 
 @dataclass(frozen=True)
 class ImuSample:
-    """IMU event.  az/gx/gy are optional 3-axis channels; only az is
-    consumed (standstill detection and attitude), and an absent az
-    defaults to a level vehicle (az = g)."""
+    """IMU event.  az/gx/gy are optional 3-axis channels: az feeds the
+    standstill detector only, an absent az counting as a level vehicle
+    (az = g), and gx/gy are not read."""
 
     t: float
     ax: float
@@ -259,7 +259,6 @@ class VehicleConfig:
     delta_max: float = _positive(0.5)
     initial_biases: np.ndarray = _vector(0.0, 0.0, 0.0)
     initial_params: np.ndarray = _vector(*2 * (9.0, 1.5, 0.8, 0.0, 0.0, 0.0))
-    assume_level_standstill: bool = True
     radars: list[RadarExtrinsics] = field(default_factory=_default_radars)
     thresholds: Thresholds = field(default_factory=Thresholds)
     covariances: Covariances = field(default_factory=Covariances)
@@ -332,8 +331,8 @@ def _entries(cls, raw, path: str):
 
 
 def _convert(val, typ, name: str):
-    """``val`` as a value of the field type ``typ``: a bool must be a YAML
-    bool, an int integral, and numbers and arrays are never strings."""
+    """``val`` as a value of the field type ``typ``: an int must be
+    integral, and numbers and arrays are never strings or bools."""
     if get_origin(typ) is list:
         if not isinstance(val, list):
             raise ConfigError(f"{name}: expected a list, got {val!r}")
@@ -345,16 +344,14 @@ def _convert(val, typ, name: str):
             arr = np.asarray(val)           # ValueError when ragged
             if arr.dtype.kind in "iuf":
                 return arr.astype(float)
-        elif typ is bool and isinstance(val, bool):
-            return val
         elif typ is int and number and val == int(val):
             return int(val)
         elif typ is float and number:
             return float(val)               # OverflowError past 1.8e308
     except (ValueError, OverflowError):
         pass
-    expected = {np.ndarray: "a list of numbers", bool: "true or false",
-                int: "an integer", float: "a number"}[typ]
+    expected = {np.ndarray: "a list of numbers", int: "an integer",
+                float: "a number"}[typ]
     raise ConfigError(f"{name}: expected {expected}, got {val!r}")
 
 
@@ -433,7 +430,7 @@ def _check_fields(obj, path: str) -> None:
         elif isinstance(v, list):
             for i, item in enumerate(v):
                 _check_fields(item, f"{name}[{i}]")
-        elif not isinstance(v, bool):
+        else:
             try:
                 arr = np.asarray(v, dtype=float)
             except (TypeError, ValueError, OverflowError):

@@ -2,15 +2,15 @@
 solver that jointly refines vehicle states and tire parameters.
 
 The window is held as arrays, one row per state, oldest first: times t,
-estimates X, inputs U, a grid flag and ZUPT targets zv (NaN where a state
-has none), plus one row per accepted Doppler observation in dop.  An input
-is carried as the U row it becomes, (ax, ay, r, delta), from the IMU
-sample to the output row.  States enter every dt (10 ms default); a radar
-scan binds its Doppler rows to the state at its capture time, inserting
-one back in time when the capture instant falls between grid states.  The
-full problem is solved when a scan contributes at least one gated-in row,
-after which the window sheds its oldest rows and priors are refreshed from
-the newest estimates.
+estimates X, inputs U, a grid flag and a ZUPT flag zv, plus one row per
+accepted Doppler observation in dop.  An input is carried as the U row it
+becomes, (ax, ay, r, delta), from the IMU sample to the output row, and a
+ZUPT state's targets are its own U row (ax, ay, r).  States enter every
+dt (10 ms default); a radar scan binds its Doppler rows to the state at
+its capture time, inserting one back in time when the capture instant
+falls between grid states.  The full problem is solved when a scan
+contributes at least one gated-in row, after which the window sheds its
+oldest rows and priors are refreshed from the newest estimates.
 
 The solver takes at most solver.max_iterations (default 1) Gauss-Newton
 steps on the dense window problem, so the estimate never depends on the
@@ -35,14 +35,12 @@ from scipy.linalg import cho_factor, cho_solve
 
 from radgrip import motion, tire, zupt
 from radgrip import radar as radar_mod
-from radgrip.core import (EstimatorError, ImuSample, NumericError,
-                          RadarScan, ReferenceVelocity, StaleScanError,
-                          SteeringSample, VehicleConfig, WindowOrderError,
-                          event_time)
+from radgrip.core import (ImuSample, NumericError, RadarScan,
+                          ReferenceVelocity, StaleScanError, SteeringSample,
+                          VehicleConfig, WindowOrderError, event_time)
 from radgrip.motion import predict_array
 
 _T_EPS = 1e-9
-_NO_ZV = (np.nan, np.nan, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +57,8 @@ class SlidingWindow:
                  models at t_k,
       grid (K,)  True for 10 ms grid states (output rows), False for states
                  inserted at a scan's capture time,
-      zv (K, 3)  ZUPT targets (ax_tilde, ay_tilde, r_meas), NaN where none.
+      zv (K,)    True for ZUPT states, whose targets are their own U row
+                 (ax, ay, r): the state was at rest under that input.
     Each accepted Doppler observation is one row [t_state, v_r, cx, cy,
     lever] of dop (M, 5), bound to the state at t_state; its expected value
     is -(cx*vx + cy*vy + lever*r) and its deviation the configured
@@ -75,7 +74,7 @@ class SlidingWindow:
         self.X = np.empty((0, 6))
         self.U = np.empty((0, 4))
         self.grid = np.empty(0, dtype=bool)
-        self.zv = np.empty((0, 3))
+        self.zv = np.empty(0, dtype=bool)
         self.dop = np.empty((0, 5))
         self.prior_x: np.ndarray | None = None
         self.prior_P: np.ndarray = np.clip(
@@ -91,7 +90,7 @@ class SlidingWindow:
     def _insert(self, i: int, t: float, x: np.ndarray, u: tuple,
                 grid: bool) -> None:
         """Insert one state with U row u before row i (i = K appends)."""
-        row = (t, x, u, grid, _NO_ZV)
+        row = (t, x, u, grid, False)
         self.t, self.X, self.U, self.grid, self.zv = (
             np.concatenate((a[:i], [v], a[i:]))
             for a, v in zip(self._states(), row))
@@ -217,8 +216,8 @@ class WindowProblem:
         self.w_zv = 1.0 / np.sqrt(cov.Sigma_zv)
         self.w_fy = 1.0 / np.sqrt(cov.Sigma_Fy)
 
-        self.zv_idx = np.flatnonzero(~np.isnan(window.zv[:, 0]))
-        self.zv = window.zv[self.zv_idx]
+        self.zv_idx = np.flatnonzero(window.zv)
+        self.zv = window.U[self.zv_idx, :3]
 
         # lateral-force rows: gate on the entry estimates, fixed per solve
         self.fy_idx = np.flatnonzero(tire.force_gate(
@@ -479,15 +478,13 @@ class Estimator:
             "stale_scans": 0, "stale_events": 0, "doppler_accepted": 0,
             "doppler_rejected": 0, "zv_states": 0, "solves": 0,
             "watchdog_solves": 0, "delta_clamped": 0,
-            "unknown_radar_scans": 0, "late_imu": 0,
+            "unknown_radar_scans": 0, "late_imu": 0, "late_steering": 0,
         }
-        self._imu_buffer: deque[ImuSample] = deque()
         # (t, U row) per IMU sample, oldest first
         self._input_hist: deque[tuple[float, tuple]] = deque()
         self._latest_delta = 0.0
+        self._latest_delta_t = -math.inf
         self._standstill = zupt.INITIAL_STANDSTILL
-        self.gravity_body: np.ndarray | None = None
-        self._speed_proxy: float | None = None
         self._have_fix = False
         self._next_grid_t: float | None = None
         self._last_solve_t: float | None = None
@@ -505,16 +502,17 @@ class Estimator:
 
     def _note_imu(self, ev: ImuSample) -> None:
         self.counters["imu"] += 1
-        buf = self._imu_buffer
-        buf.append(ev)
-        horizon = self.cfg.thresholds.T_stop + 0.5
-        while buf and buf[0].t < ev.t - horizon:
-            buf.popleft()
         hist = self._input_hist
         hist.append((ev.t, (ev.ax, ev.ay, ev.r, self._latest_delta)))
         while hist and hist[0][0] < ev.t - 1.0:
             hist.popleft()
-        self._update_standstill(ev)
+        # the detector has no speed until the first radar fix
+        speed = (math.hypot(*self.window.X[-1, :2]) if self._have_fix
+                 else None)
+        comp = zupt.accel_magnitude_deviation(ev.ax, ev.ay, ev.az,
+                                              self.cfg.g)
+        self._standstill = zupt.update_standstill(self._standstill, speed,
+                                                  comp, ev.t, self.cfg)
 
     def _note_steering(self, ev: SteeringSample) -> None:
         self.counters["steering"] += 1
@@ -523,49 +521,19 @@ class Estimator:
             self.counters["delta_clamped"] += 1
             delta = math.copysign(self.cfg.delta_max, delta)
         self._latest_delta = delta
-
-    # -- standstill / attitude --------------------------------------------
-
-    def _update_standstill(self, ev: ImuSample) -> None:
-        if self._have_fix and len(self.window.t):
-            x = self.window.X[-1]
-            speed = math.hypot(x[0], x[1])
-        else:
-            speed = self._speed_proxy
-        comp = zupt.accel_magnitude_deviation(ev.ax, ev.ay, ev.az,
-                                              self.cfg.g)
-        prev = self._standstill
-        self._standstill = zupt.update_standstill(prev, speed, comp, ev.t,
-                                                  self.cfg)
-        if self._standstill.stationary and not prev.stationary:
-            self._enter_standstill()
-
-    def _enter_standstill(self) -> None:
-        # from the start of the detector's run, which spans T_stop at any
-        # IMU sample spacing
-        samples = [s for s in self._imu_buffer
-                   if s.t >= self._standstill.since]
-        # estimated under the level assumption too: a window too short for
-        # an attitude leaves this standstill without ZUPT targets
-        try:
-            g_body = zupt.estimate_attitude(samples, self.cfg)
-        except EstimatorError:
-            self.gravity_body = None
-            return
-        if self.cfg.assume_level_standstill:
-            g_body = np.array([0.0, 0.0, -self.cfg.g])
-        self.gravity_body = g_body
+        self._latest_delta_t = ev.t
 
     # -- event ingestion ---------------------------------------------------
 
     def attach(self, ev) -> bool:
         """Route one event into the window; True when a solve is due.
 
-        Three kinds of event are counted and dropped before they touch any
+        Four kinds of event are counted and dropped before they touch any
         state, as if they were not logged: a scan from a radar the config
         does not list (unknown_radar_scans), an IMU sample at or before
-        the newest held one (late_imu), and any other non-radar event
-        older than the window start (stale_events).
+        the newest held one (late_imu), any other non-radar event older
+        than the window start (stale_events), and a steering sample at or
+        before the newest held one (late_steering).
         """
         if (isinstance(ev, RadarScan)
                 and not 0 <= ev.radar_id < len(self.cfg.radars)):
@@ -583,6 +551,9 @@ class Estimator:
         elif (not isinstance(ev, RadarScan)
               and t_ev < self.window.t[0] - _T_EPS):
             self.counters["stale_events"] += 1
+            return False
+        if isinstance(ev, SteeringSample) and t_ev <= self._latest_delta_t:
+            self.counters["late_steering"] += 1
             return False
 
         if isinstance(ev, ImuSample):
@@ -604,10 +575,8 @@ class Estimator:
             tg = self._next_grid_t
             u = self._current_input(tg)
             self.window.push_state(tg, u)
-            if self._standstill.stationary and self.gravity_body is not None:
-                ax_t, ay_t = zupt.gravity_compensate(u[0], u[1],
-                                                     self.gravity_body)
-                self.window.zv[-1] = (ax_t, ay_t, u[2])
+            if self._standstill.stationary:
+                self.window.zv[-1] = True
                 self.counters["zv_states"] += 1
             self._next_grid_t = tg + dt
             if (tg - self._last_solve_t
@@ -628,12 +597,6 @@ class Estimator:
         self.window.dop = np.concatenate((self.window.dop, rows))
         self.counters["doppler_accepted"] += len(rows)
         self.counters["doppler_rejected"] += len(scan.points) - len(rows)
-        if not self._have_fix:
-            ls = radar_mod.ego_velocity_ls(
-                scan, self.cfg.radars[scan.radar_id],
-                self.cfg.thresholds.snr_min)
-            if ls is not None:
-                self._speed_proxy = math.hypot(ls[0], ls[1])
         return bool(len(rows))
 
     def process_event(self, ev) -> None:

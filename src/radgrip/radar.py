@@ -104,24 +104,3 @@ def scan_to_factors(scan: RadarScan, x_cap: np.ndarray,
                     axis=1)
     return rows[accepted]
 
-
-def ego_velocity_ls(scan: RadarScan, ext: RadarExtrinsics,
-                    snr_min: float) -> tuple[float, float] | None:
-    """Instantaneous planar velocity from one scan by least squares over
-    v_d = -(cx vx + cy vy).  Valid only below the Nyquist band; used as a
-    coarse speed source for the standstill detector before the first fix.
-    """
-    pts = [p for p in scan.points if p.snr >= snr_min]
-    if len(pts) < 5:
-        return None
-    az = np.array([p.azimuth for p in pts])
-    el = np.array([p.elevation for p in pts])
-    vd = np.array([p.doppler for p in pts])
-    b = bearing_vectors(az, el)
-    cx, cy, _ = body_projection(ext, b)
-    A = np.stack([-cx, -cy], axis=1)
-    AtA = A.T @ A
-    if np.linalg.det(AtA) < 1e-6:
-        return None
-    sol = np.linalg.solve(AtA, A.T @ vd)
-    return float(sol[0]), float(sol[1])

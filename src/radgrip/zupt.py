@@ -1,12 +1,15 @@
-"""Standstill detection, attitude estimation at rest, gravity compensation
-and the zero-velocity measurement model used to initialize IMU biases.
+"""Standstill detection and the zero-velocity measurement model that
+anchors the IMU biases.
 
-Conventions: world z is up, world gravity is (0, 0, -g); body z is up and a
-resting accelerometer reads +g on its up axis.  The attitude at rest is
-carried as gravity_body, the (3,) world gravity (0, 0, -g) expressed in
-body axes, so a resting accelerometer reads -gravity_body; a level vehicle
-has gravity_body = (0, 0, -g).  Yaw is unobservable at rest, and nothing
-downstream needs more of the attitude than this vector.
+Conventions: body z is up and a resting accelerometer reads +g on its up
+axis.  A ZUPT state's targets are its own input row (ax, ay, r): at rest
+the velocities and yaw rate are zero, the accel biases equal the planar
+accelerometer readings and the gyro bias equals the yaw-rate reading.
+The vehicle is taken to rest level, since at rest tilt and accelerometer
+bias cannot be told apart: a rest pitched by theta (nose down) puts
+-g sin(theta) into the bx target, and a rest rolled by phi puts
+g cos(theta) sin(phi) into the by target, each pinned with the default
+Sigma_zv's sigma of 0.02 m/s^2.
 """
 
 from __future__ import annotations
@@ -52,7 +55,11 @@ def update_standstill(status: StandstillStatus, speed_est: float | None,
 
 def estimate_attitude(imu_window: Sequence[ImuSample],
                       cfg: VehicleConfig) -> np.ndarray:
-    """gravity_body (3,) from a standstill IMU window, in closed form.
+    """gravity_body (3,) from a standstill IMU window, in closed form:
+    world gravity (0, 0, -g) in body axes.  The estimator does not call
+    it; it stays only because perfbench/measure.py LAYERS and
+    tests/test_layers.py name it, and goes with the benchmark revision
+    that drops that layer.
 
     At rest the accelerometer measures the reaction to gravity, so the
     mean accelerometer direction is world-up in body axes, and
@@ -75,18 +82,10 @@ def estimate_attitude(imu_window: Sequence[ImuSample],
     return -cfg.g * up
 
 
-def gravity_compensate(ax_meas: float, ay_meas: float,
-                       gravity_body: np.ndarray) -> tuple[float, float]:
-    """Measured accelerations with gravity removed: a resting
-    accelerometer reads -gravity_body, so adding gravity_body cancels it."""
-    return (ax_meas + gravity_body[0], ay_meas + gravity_body[1])
-
-
 def zv_residual(X, zv, w) -> np.ndarray:
     """Whitened zero-velocity residuals at state rows X (n, 6): velocities
-    and yaw rate at zero, accel biases at the gravity-compensated readings
-    and gyro bias at the raw yaw-rate sample, zv (n, 3) = (ax_tilde,
-    ay_tilde, r_meas)."""
+    and yaw rate at zero, biases at the readings zv (n, 3) = (ax, ay, r),
+    the states' own U rows."""
     raw = np.array(X, dtype=float)
     raw[:, 3:] -= zv
     return raw * w

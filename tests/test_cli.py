@@ -114,16 +114,28 @@ def _stale_steering(lines):
     return lines[:k] + [lines[at[0.5]]] + lines[k:], lines
 
 
+def _late_steering(lines):
+    """A steering sample at t = 1.995 s inside the window, sent right after
+    the one at t = 2 s, and the log without it."""
+    k = next(k for k, line in enumerate(lines)
+             if json.loads(line)["type"] == "steering"
+             and json.loads(line)["t"] == 2.0) + 1
+    late = '{"type":"steering","t":1.995,"delta":0.05}\n'
+    return lines[:k] + [late] + lines[k:], lines
+
+
 @pytest.mark.parametrize("mutate, counter", [
     (_late_imu, "late_imu"),
     (_stale_steering, "stale_events"),
-], ids=["late_imu", "stale_steering"])
+    (_late_steering, "late_steering"),
+], ids=["late_imu", "stale_steering", "late_steering"])
 def test_dropped_event_is_counted_and_leaves_the_estimate(tmp_path, mutate,
                                                           counter):
     mutated, reference = mutate(_lines_3s())
     csv, counters = _estimate(tmp_path, "mutated", mutated)
     assert counters[counter] == 1
     assert csv == _estimate(tmp_path, "reference", reference)[0]
+
 
 def test_bench_exits_3_naming_the_first_differing_solve(tmp_path,
                                                         monkeypatch, capsys):
@@ -167,3 +179,18 @@ def test_unusable_estimate_csv_exits_2_naming_file_and_column(
     err = capsys.readouterr().err
     assert est in err and named in err
 
+
+@pytest.mark.parametrize("summary", [b"{bad", b"[1, 2]"],
+                         ids=["invalid_json", "not_an_object"])
+def test_unusable_summary_exits_2_naming_it(tmp_path, capsys, summary):
+    est = os.path.join(str(tmp_path), "est.csv")
+    truth = os.path.join(str(tmp_path), "truth.csv")
+    for path, columns in ((est, cli.ESTIMATE_CSV_COLUMNS),
+                          (truth, cli.TRUTH_CSV_COLUMNS)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(columns) + "\n")
+            fh.write(",".join("0" for _ in columns) + "\n")
+    with open(est + ".summary.json", "wb") as fh:
+        fh.write(summary)
+    assert cli.main(["metrics", est, truth]) == 2
+    assert f"{est}.summary.json" in capsys.readouterr().err

@@ -226,7 +226,7 @@ _NAN_ROTATION = [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     ("solver:\n  max_iter: 3\n", "solver.max_iter"),
     ("radars: 5\n", "radars"),
     ("solver:\n  max_iterations: 2.7\n", "solver.max_iterations"),
-    ('assume_level_standstill: "false"\n', "assume_level_standstill"),
+    ("assume_level_standstill: true\n", "assume_level_standstill"),
     ("m: true\n", "m"),
     (_one_radar(), "radars[0].nyquist"),
     ("initial_params:\n  front: [9.0, 1.5, 0.8, 0.0, 0.0, 0.0]\n"
@@ -244,7 +244,7 @@ _NAN_ROTATION = [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     ("Iz: 0.0\n", "Iz"),
 ], ids=["non_numeric_leaf", "non_numeric_array_entry", "non_mapping_section",
         "unknown_nested_key", "non_list_radars", "non_integral_int",
-        "string_bool", "bool_for_a_float", "missing_radar_key",
+        "removed_key", "bool_for_a_float", "missing_radar_key",
         "old_initial_params_form", "short_initial_params", "nan_rotation",
         "nan_fov", "nan_cauchy_scale", "zero_cauchy_scale", "nan_param_bound",
         "nan_snr_min", "zero_steering_ratio", "negative_delta_max",
@@ -265,7 +265,6 @@ def test_config_fault_names_its_field(tmp_path, capsys, text, field):
 def _every_section_changed() -> VehicleConfig:
     cfg = VehicleConfig()
     cfg.m = 650.0
-    cfg.assume_level_standstill = False
     cfg.initial_biases = np.array([0.01, -0.02, 0.003])
     cfg.initial_params[[0, 6]] = (11.0, 13.0)
     cfg.radars = cfg.radars[:2]

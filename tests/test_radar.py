@@ -8,8 +8,8 @@ from radgrip.core import (ImuSample, RadarPoint, RadarScan, StaleScanError,
 from radgrip.mhe import Estimator, SlidingWindow
 from radgrip.radar import (REJECT_ALIAS, REJECT_INNOVATION, REJECT_LOW_SNR,
                            bearing_vectors, body_projection, dealias,
-                           doppler_residual, ego_velocity_ls,
-                           expected_doppler, gate_points, scan_to_factors)
+                           doppler_residual, expected_doppler,
+                           gate_points, scan_to_factors)
 from radgrip.simgen import wrap
 
 CFG = default_config()
@@ -254,16 +254,3 @@ def test_doppler_residual_lateral_orthogonality():
     r2 = _residual(f, _x(vx=15.0, vy=0.5))
     assert r1 == pytest.approx(r2, abs=1e-9)
 
-
-def test_ego_velocity_ls():
-    ext = CFG.radars[0]
-    rng = np.random.default_rng(4)
-    pts = []
-    for _ in range(20):
-        az, el = rng.uniform(-0.6, 0.6), rng.uniform(-0.1, 0.1)
-        vd = _v_e(_x(vx=12.0, vy=0.8), ext, az, el)
-        pts.append(RadarPoint(10.0, az, el, vd, 25.0))
-    sol = ego_velocity_ls(_scan(pts, 0.0, 0.0), ext, 10.0)
-    # lever arm of the yaw term is zero here (r = 0), so LS is exact
-    assert sol[0] == pytest.approx(12.0, abs=1e-6)
-    assert sol[1] == pytest.approx(0.8, abs=1e-6)

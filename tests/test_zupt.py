@@ -10,8 +10,8 @@ from radgrip.core import (ImuSample, InsufficientDataError, RadarPoint,
                           default_config, event_time)
 from radgrip.mhe import Estimator, replay_events
 from radgrip.zupt import (INITIAL_STANDSTILL, accel_magnitude_deviation,
-                          estimate_attitude, gravity_compensate,
-                          update_standstill, zv_residual)
+                          estimate_attitude, update_standstill,
+                          zv_residual)
 
 CFG = default_config()
 G = CFG.g
@@ -93,25 +93,6 @@ def test_attitude_short_window():
         estimate_attitude(_imu_window((0, 0, G), duration=0.5), CFG)
 
 
-def test_gravity_compensate_level():
-    ax_t, ay_t = gravity_compensate(0.05, -0.02, np.array([0.0, 0.0, -G]))
-    assert ax_t == pytest.approx(0.05)
-    assert ay_t == pytest.approx(-0.02)
-
-
-def test_gravity_compensate_subtraction():
-    # a resting accelerometer reads -gravity_body, so adding gravity_body
-    # removes gravity: 0.9 + 0.855 and -0.25 + (-0.3)
-    g_body = np.array([0.855, -0.3, -G])
-    ax_t, ay_t = gravity_compensate(0.9, -0.25, g_body)
-    assert ax_t == pytest.approx(1.755)
-    assert ay_t == pytest.approx(-0.55)
-    # the reading of that resting, bias-free accelerometer compensates to 0
-    ax_t, ay_t = gravity_compensate(-0.855, 0.3, g_body)
-    assert ax_t == pytest.approx(0.0, abs=1e-12)
-    assert ay_t == pytest.approx(0.0, abs=1e-12)
-
-
 def _pitched_rest_events(pitch, roll, br, duration=1.3):
     """IMU at rest tilted by pitch/roll with gyro bias br (accel biases
     zero) plus radar scans of static points seen from rest."""
@@ -133,20 +114,21 @@ def _pitched_rest_events(pitch, roll, br, duration=1.3):
     return events
 
 
-def test_zupt_targets_on_pitched_rest_equal_biases():
-    # a static accelerometer cannot tell an accel bias from tilt, so the
-    # accel biases here are zero; the gyro bias is read directly
-    cfg = default_config()
-    cfg.assume_level_standstill = False
+def test_zupt_targets_on_tilted_rest_leak_gravity():
+    # a static accelerometer cannot tell an accel bias from tilt: the
+    # targets are the raw readings, so a 5 deg pitch and a -2 deg roll
+    # leak gravity into the bx and by targets; the gyro bias is read
+    # directly
     br = 0.004
-    est = Estimator(cfg)
-    for ev in _pitched_rest_events(math.radians(5.0), math.radians(-2.0),
-                                   br):
+    pitch, roll = math.radians(5.0), math.radians(-2.0)
+    est = Estimator(default_config())
+    for ev in _pitched_rest_events(pitch, roll, br):
         est.process_event(ev)
-    zv = est.window.zv
-    targets = zv[~np.isnan(zv[:, 0])]
+    targets = est.window.U[est.window.zv, :3]
     assert est.counters["zv_states"] > 0 and len(targets)
-    assert np.allclose(targets, [0.0, 0.0, br], rtol=0.0, atol=2e-3)
+    leak = (-G * math.sin(pitch), G * math.cos(pitch) * math.sin(roll), br)
+    assert np.allclose(targets, leak, rtol=0.0, atol=1e-12)
+    assert np.allclose(leak, (-0.85500, -0.34106, 0.004), atol=5e-6)
 
 
 @pytest.mark.parametrize("imu_time", [
@@ -177,12 +159,19 @@ def test_standstill_gets_zupt_with_imu_off_the_grid(imu_time):
     assert last.by == pytest.approx(spec.noise.imu_accel_bias[1], abs=0.02)
 
 
-def test_gravity_compensate_linear():
-    g_body = np.array([0.2, 0.1, -G])
-    a1 = gravity_compensate(0.3, 0.4, g_body)
-    a2 = gravity_compensate(0.3 + 1.5, 0.4 - 0.7, g_body)
-    assert a2[0] - a1[0] == pytest.approx(1.5)
-    assert a2[1] - a1[1] == pytest.approx(-0.7)
+def test_standstill_gets_zupt_across_an_imu_gap():
+    # the detector's run spans the 1.6 s gap, so the rest is detected at
+    # the first sample after it, and its ZUPT states pin the accel biases
+    cfg = default_config()
+    spec = simgen.make_scenario("standstill", cfg, seed=0)
+    events, _ = simgen.run_scenario(spec.script, spec.p_truth, spec.noise,
+                                    cfg)
+    est = replay_events([ev for ev in events if not (
+        isinstance(ev, ImuSample) and 0.6 < ev.t < 2.2)], cfg)
+    assert est.counters["zv_states"] > 0
+    last = est.rows[-1]
+    assert last.bx == pytest.approx(spec.noise.imu_accel_bias[0], abs=0.02)
+    assert last.by == pytest.approx(spec.noise.imu_accel_bias[1], abs=0.02)
 
 
 def test_zv_residual_exact_fit():

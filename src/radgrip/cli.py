@@ -20,16 +20,14 @@ from operator import attrgetter
 import numpy as np
 
 from radgrip import mhe, simgen
-from radgrip.core import (AlignmentError, ConfigError, EstimatorError,
-                          IoError, ParseError, RangeError, SchemaError,
-                          UsageError, VehicleConfig, config_hash, load_config,
-                          parse_event, serialize_event)
+from radgrip.core import (ConfigError, EstimatorError, IoError, ParseError,
+                          RangeError, SchemaError, UsageError, VehicleConfig,
+                          config_hash, load_config, parse_event,
+                          serialize_event)
 
 # the output CSVs hold the fields of their records, in order
 ESTIMATE_CSV_COLUMNS = tuple(f.name for f in fields(mhe.OutputRow))
-TRUTH_CSV_COLUMNS = tuple(f.name for f in fields(simgen.TruthTrajectory)
-                          if f.name != "dt_sim")
-ESTIMATE_CSV_HEADER = ",".join(ESTIMATE_CSV_COLUMNS)
+TRUTH_CSV_COLUMNS = tuple(f.name for f in fields(simgen.TruthTrajectory))
 
 
 def _fmt(v) -> str:
@@ -91,7 +89,7 @@ def cmd_sim(scenario: str, config_path: str | None, seed: int,
 def write_truth_csv(path: str, truth: simgen.TruthTrajectory,
                     dt: float) -> None:
     """Write the truth signals every ``dt`` seconds."""
-    stride = max(1, int(round(dt / truth.dt_sim)))
+    stride = max(1, int(round(dt / simgen.DT_SIM)))
     _write_csv(path, TRUTH_CSV_COLUMNS,
                zip(*(getattr(truth, c)[::stride] for c in TRUTH_CSV_COLUMNS)))
 
@@ -227,8 +225,9 @@ def compute_metrics(est_csv: str, truth_csv: str,
     est = _read_csv(est_csv, (*names, "BCD_f", "BCD_r"))
     tru = _read_csv(truth_csv, names)
     te, tt = est["t"], tru["t"]
-    if len(te) == 0 or len(tt) == 0:
-        raise AlignmentError("empty CSV")
+    for path, t in ((est_csv, te), (truth_csv, tt)):
+        if not len(t):
+            raise SchemaError(f"{path}: no data rows")
     idx = np.searchsorted(tt, te)
     idx = np.clip(idx, 0, len(tt) - 1)
     idx_lo = np.clip(idx - 1, 0, len(tt) - 1)
@@ -236,7 +235,8 @@ def compute_metrics(est_csv: str, truth_csv: str,
     idx = np.where(use_lo, idx_lo, idx)
     ok = np.abs(tt[idx] - te) <= 5e-3
     if not np.any(ok):
-        raise AlignmentError("estimate and truth time ranges do not overlap")
+        raise SchemaError(f"{est_csv}: no row within 5 ms of a row of "
+                          f"{truth_csv}")
     idx = idx[ok]
     speed_ok = np.hypot(tru["vx"][idx], tru["vy"][idx]) \
         > cfg.thresholds.V_Fy_min

@@ -72,10 +72,6 @@ class IoError(EstimatorError):
     """A file could not be read or written."""
 
 
-class AlignmentError(EstimatorError):
-    """Two time series have no overlapping samples to compare."""
-
-
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------

@@ -14,8 +14,12 @@ oldest rows and priors are refreshed from the newest estimates.
 
 The solver takes at most solver.max_iterations (default 1) Gauss-Newton
 steps on the dense window problem, so the estimate never depends on the
-clock.  Each step builds the dense Jacobian (a block-tridiagonal state
-chain plus one tire-parameter column), J^T J and its Cholesky factor;
+clock.  WindowProblem is one table of factor classes, each giving its
+residual rows and its Jacobian blocks: the process chain's (6, 12) block
+over consecutive states, ZUPT, lateral-force and Doppler blocks on their
+states' columns, and the 12 tire-parameter columns filled by the
+lateral-force rows and the parameter prior.  Each step scatters those
+blocks into a dense J, then forms J^T J and its Cholesky factor;
 residuals and Jacobian are fresh arrays per call, no buffer is reused.
 Tire parameters are clamped into their box, and a step is kept only if it
 lowers the cost.  Doppler rows carry a Cauchy robust loss, everything else
@@ -27,7 +31,7 @@ from __future__ import annotations
 import gc
 import math
 import time
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,15 +166,11 @@ class SlidingWindow:
 # Problem assembly
 # ---------------------------------------------------------------------------
 
-_CLASSES = ("prior_state", "prior_params", "process", "zupt",
-            "lateral_force", "doppler")
-
-
-def _block_index(row0, col0, nrows: int, ncols: int):
-    """Index arrays addressing one dense (nrows, ncols) block of J per
-    entry of row0/col0, each block starting at (row0[i], col0[i])."""
-    return (np.asarray(row0)[:, None, None] + np.arange(nrows)[:, None],
-            np.asarray(col0)[:, None, None] + np.arange(ncols))
+# One factor class of a window problem: n instances of m rows each.
+# residual(X, P) gives the (n, m) whitened residuals; jacobian(X, P) gives
+# one (first column per instance (n,), blocks (n, m, c)) pair per block
+# column of J.
+Factor = namedtuple("Factor", "name n m residual jacobian")
 
 
 def cauchy_loss(rd: np.ndarray, c: float) -> float:
@@ -189,77 +189,90 @@ class WindowProblem:
 
     Variables are z = [x_0 ... x_{K-1}, P] with x_k the 6 state components
     and P the 12 tire parameters (front then rear axle).  P_init is taken
-    as given; solve_problem clamps the initial iterate into the box.  Each factor class
-    is defined, with its partials, in its domain module; this class fixes
-    the rows and weights per solve and scatters those values into r and J.
+    as given; solve_problem clamps the initial iterate into the box.
+
+    table holds one Factor per class in row order: the two priors,
+    process, ZUPT, lateral force and Doppler, each binding this window's
+    rows and weights to its domain module's residual and partials.  A
+    class with no instances is not evaluated.  Doppler comes last: its
+    rows, the only ones under the Cauchy loss, end r.  Entries close over
+    arrays, never over the problem, so a problem is freed by reference
+    counting alone (replay_events runs with gc disabled).
     """
 
     def __init__(self, window: SlidingWindow, P_init: np.ndarray,
                  cfg: VehicleConfig):
-        th, cov = cfg.thresholds, cfg.covariances
+        cov = cfg.covariances
         self.cfg = cfg
         K = self.K = len(window.t)
-        self.t = window.t
         self.X_init = window.X
         self.P_lo = cfg.bounds.full_min()
         self.P_hi = cfg.bounds.full_max()
         self.P_init = P_init
-        self.dt = np.diff(self.t)
-        self.u_ax, self.u_ay, self.u_r, self.u_delta = window.U.T
+        self.cauchy = cfg.solver.cauchy_scale
+        t, U, dop = window.t, window.U, window.dop
+        prior_x, prior_P = window.prior_x, window.prior_P
+        dt = np.diff(t)
+        u_ax, u_ay, u_r, u_delta = U.T
 
-        self.prior_x = window.prior_x
-        self.prior_P = window.prior_P
-        self.w_x0 = 1.0 / np.sqrt(cov.Sigma_x0)
-        self.w_P = 1.0 / np.sqrt(cov.Sigma_P)
-        self.w_proc = 1.0 / np.sqrt(
-            cov.Sigma_w[None, :] * (self.dt[:, None] / th.dt))
-        self.w_zv = 1.0 / np.sqrt(cov.Sigma_zv)
-        self.w_fy = 1.0 / np.sqrt(cov.Sigma_Fy)
+        w_x0 = 1.0 / np.sqrt(cov.Sigma_x0)
+        w_P = 1.0 / np.sqrt(cov.Sigma_P)
+        w_proc = 1.0 / np.sqrt(
+            cov.Sigma_w[None, :] * (dt[:, None] / cfg.thresholds.dt))
+        w_zv = 1.0 / np.sqrt(cov.Sigma_zv)
+        w_fy = 1.0 / np.sqrt(cov.Sigma_Fy)
+        w_dop = 1.0 / cov.sigma_doppler
+        proc_col = 6 * np.arange(K - 1)
 
-        self.zv_idx = np.flatnonzero(window.zv)
-        self.zv = window.U[self.zv_idx, :3]
+        zv_idx = np.flatnonzero(window.zv)
+        zv = U[zv_idx, :3]
 
         # lateral-force rows: gate on the entry estimates, fixed per solve
-        self.fy_idx = np.flatnonzero(tire.force_gate(
-            self.X_init[:, 0], self.X_init[:, 1], self.u_ax, self.u_delta,
-            cfg))
-        self.fy_ax = self.u_ax[self.fy_idx]
-        self.fy_delta = self.u_delta[self.fy_idx]
-        self.fy_meas = np.stack(tire.measured_lateral_forces(
-            self.u_ay[self.fy_idx], self.fy_delta, cfg), axis=1)
+        fy_idx = self.fy_idx = np.flatnonzero(tire.force_gate(
+            window.X[:, 0], window.X[:, 1], u_ax, u_delta, cfg))
+        fy_ax, fy_delta = u_ax[fy_idx], u_delta[fy_idx]
+        fy_meas = np.stack(tire.measured_lateral_forces(
+            u_ay[fy_idx], fy_delta, cfg), axis=1)
+        fy_cols = (6 * fy_idx, np.full(len(fy_idx), 6 * K))
 
-        dop = window.dop
-        self.dop_idx = np.searchsorted(self.t, dop[:, 0] - _T_EPS)
-        self.dop_vr, self.dop_cx, self.dop_cy, self.dop_lever = dop[:, 1:].T
-        self.dop_w = 1.0 / cov.sigma_doppler
+        dop_idx = np.searchsorted(t, dop[:, 0] - _T_EPS)
+        vr, cx, cy, lever = dop[:, 1:].T
 
-        self.cauchy = cfg.solver.cauchy_scale
-        n_zv, n_fy, n_dop = len(self.zv_idx), len(self.fy_idx), len(dop)
-        sizes = {
-            "prior_state": 6,
-            "prior_params": 12,
-            "process": 6 * (K - 1),
-            "zupt": 6 * n_zv,
-            "lateral_force": 2 * n_fy,
-            "doppler": n_dop,
-        }
+        self.table = (
+            Factor("prior_state", 1, 6,
+                   lambda X, P: (w_x0 * (X[0] - prior_x))[None],
+                   lambda X, P: [(np.zeros(1, int), np.diag(w_x0)[None])]),
+            Factor("prior_params", 1, 12,
+                   lambda X, P: (w_P * (P - prior_P))[None],
+                   lambda X, P: [(np.full(1, 6 * K), np.diag(w_P)[None])]),
+            Factor("process", K - 1, 6,
+                   lambda X, P: motion.process_residual(
+                       X, u_ax, u_ay, u_r, dt, w_proc),
+                   lambda X, P: [(proc_col, motion.process_jacobian(
+                       X, dt, w_proc))]),
+            Factor("zupt", len(zv_idx), 6,
+                   lambda X, P: zupt.zv_residual(X[zv_idx], zv, w_zv),
+                   lambda X, P: [(6 * zv_idx, zupt.zv_jacobian(
+                       len(zv_idx), w_zv))]),
+            Factor("lateral_force", len(fy_idx), 2,
+                   lambda X, P: tire.lateral_force_residual(
+                       X[fy_idx], fy_ax, fy_delta, fy_meas, P, w_fy, cfg),
+                   lambda X, P: zip(fy_cols, tire.lateral_force_jacobian(
+                       X[fy_idx], fy_ax, fy_delta, P, w_fy, cfg))),
+            Factor("doppler", len(dop), 1,
+                   lambda X, P: radar_mod.doppler_residual(
+                       X[dop_idx], vr, cx, cy, lever, w_dop)[:, None],
+                   lambda X, P: [(6 * dop_idx, radar_mod.doppler_jacobian(
+                       cx, cy, lever, w_dop)[:, None, :])]),
+        )
         self.slices = {}
         off = 0
-        for name in _CLASSES:
-            self.slices[name] = slice(off, off + sizes[name])
-            off += sizes[name]
+        for f in self.table:
+            self.slices[f.name] = slice(off, off + f.n * f.m)
+            off += f.n * f.m
         self.nrows = off
         self.nvar = 6 * K + 12
-        row = {name: self.slices[name].start for name in _CLASSES}
-        ks = np.arange(K - 1)
-        self._proc_ix = _block_index(row["process"] + 6 * ks, 6 * ks, 6, 12)
-        self._zv_ix = _block_index(row["zupt"] + 6 * np.arange(n_zv),
-                                   6 * self.zv_idx, 6, 6)
-        fy_row = row["lateral_force"] + 2 * np.arange(n_fy)
-        self._fy_ix = _block_index(fy_row, 6 * self.fy_idx, 2, 3)
-        self._fy_p_ix = _block_index(fy_row, np.full(n_fy, 6 * K), 2, 12)
-        self._dop_ix = _block_index(row["doppler"] + np.arange(n_dop),
-                                    6 * self.dop_idx, 1, 3)
+        self.robust = self.slices[self.table[-1].name]
 
     def z_init(self) -> np.ndarray:
         return np.concatenate([self.X_init.ravel(), self.P_init])
@@ -274,58 +287,37 @@ class WindowProblem:
     def residuals(self, z: np.ndarray) -> np.ndarray:
         X, P = self._split(z)
         r = np.empty(self.nrows)
-        sl = self.slices
-        r[sl["prior_state"]] = self.w_x0 * (X[0] - self.prior_x)
-        r[sl["prior_params"]] = self.w_P * (P - self.prior_P)
-        r[sl["process"]] = motion.process_residual(
-            X, self.u_ax, self.u_ay, self.u_r, self.dt, self.w_proc).ravel()
-        if len(self.zv_idx):
-            r[sl["zupt"]] = zupt.zv_residual(
-                X[self.zv_idx], self.zv, self.w_zv).ravel()
-        if len(self.fy_idx):
-            r[sl["lateral_force"]] = tire.lateral_force_residual(
-                X[self.fy_idx], self.fy_ax, self.fy_delta, self.fy_meas, P,
-                self.w_fy, self.cfg).ravel()
-        r[sl["doppler"]] = radar_mod.doppler_residual(
-            X[self.dop_idx], self.dop_vr, self.dop_cx, self.dop_cy,
-            self.dop_lever, self.dop_w)
+        for f in self.table:
+            if f.n:
+                r[self.slices[f.name]] = f.residual(X, P).ravel()
         return r
 
     def check_finite(self, r: np.ndarray) -> None:
         if np.all(np.isfinite(r)):
             return
-        for name in _CLASSES:
-            if not np.all(np.isfinite(r[self.slices[name]])):
+        for name, sl in self.slices.items():
+            if not np.all(np.isfinite(r[sl])):
                 raise NumericError(f"non-finite residuals in {name}")
 
     def cost(self, r: np.ndarray) -> float:
-        dop = self.slices["doppler"]
-        quad = float(r[:dop.start] @ r[:dop.start])
-        return quad + cauchy_loss(r[dop], self.cauchy)
+        quad = r[:self.robust.start]
+        return float(quad @ quad) + cauchy_loss(r[self.robust], self.cauchy)
 
     def cost_breakdown(self, r: np.ndarray) -> dict:
-        out = {}
-        for name in _CLASSES:
-            rs = r[self.slices[name]]
-            out[name] = (cauchy_loss(rs, self.cauchy) if name == "doppler"
-                         else float(rs @ rs))
+        out = {name: float(r[sl] @ r[sl]) for name, sl in self.slices.items()}
+        out[self.table[-1].name] = cauchy_loss(r[self.robust], self.cauchy)
         return out
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         X, P = self._split(z)
         J = np.zeros((self.nrows, self.nvar))
-        sl = self.slices
-        J[sl["prior_state"], :6] = np.diag(self.w_x0)
-        J[sl["prior_params"], 6 * self.K:] = np.diag(self.w_P)
-        J[self._proc_ix] = motion.process_jacobian(X, self.dt, self.w_proc)
-        if len(self.zv_idx):
-            J[self._zv_ix] = zupt.zv_jacobian(len(self.zv_idx), self.w_zv)
-        if len(self.fy_idx):
-            J[self._fy_ix], J[self._fy_p_ix] = tire.lateral_force_jacobian(
-                X[self.fy_idx], self.fy_ax, self.fy_delta, P, self.w_fy,
-                self.cfg)
-        J[self._dop_ix] = radar_mod.doppler_jacobian(
-            self.dop_cx, self.dop_cy, self.dop_lever, self.dop_w)[:, None, :]
+        for f in self.table:
+            if f.n:
+                rows = (self.slices[f.name].start + f.m * np.arange(f.n))[
+                    :, None, None] + np.arange(f.m)[:, None]
+                for col0, blocks in f.jacobian(X, P):
+                    J[rows, col0[:, None, None]
+                      + np.arange(blocks.shape[2])] = blocks
         return J
 
 
@@ -364,7 +356,7 @@ def solve_problem(problem: WindowProblem) -> tuple[np.ndarray, SolveReport]:
     r = problem.residuals(z)
     problem.check_finite(r)
     cost = initial_cost = problem.cost(r)
-    dop = problem.slices["doppler"]
+    dop = problem.robust
     term = "max_iterations"
     for iters in range(1, problem.cfg.solver.max_iterations + 1):
         J = problem.jacobian(z)
@@ -396,7 +388,7 @@ def solve_problem(problem: WindowProblem) -> tuple[np.ndarray, SolveReport]:
         termination=term,
         breakdown=problem.cost_breakdown(r),
         n_states=problem.K,
-        n_doppler=len(problem.dop_idx),
+        n_doppler=problem.table[-1].n,
     )
     return z, report
 
@@ -479,11 +471,14 @@ class Estimator:
             "doppler_rejected": 0, "zv_states": 0, "solves": 0,
             "watchdog_solves": 0, "delta_clamped": 0,
             "unknown_radar_scans": 0, "late_imu": 0, "late_steering": 0,
+            "late_scans": 0,
         }
         # (t, U row) per IMU sample, oldest first
         self._input_hist: deque[tuple[float, tuple]] = deque()
         self._latest_delta = 0.0
         self._latest_delta_t = -math.inf
+        # newest capture time bound to the window, per radar
+        self._bound_capture = [-math.inf] * len(cfg.radars)
         self._standstill = zupt.INITIAL_STANDSTILL
         self._have_fix = False
         self._next_grid_t: float | None = None
@@ -528,17 +523,21 @@ class Estimator:
     def attach(self, ev) -> bool:
         """Route one event into the window; True when a solve is due.
 
-        Four kinds of event are counted and dropped before they touch any
+        Five kinds of event are counted and dropped before they touch any
         state, as if they were not logged: a scan from a radar the config
-        does not list (unknown_radar_scans), an IMU sample at or before
-        the newest held one (late_imu), any other non-radar event older
-        than the window start (stale_events), and a steering sample at or
-        before the newest held one (late_steering).
+        does not list (unknown_radar_scans), a scan captured at or before
+        the newest capture bound from the same radar (late_scans), an IMU
+        sample at or before the newest held one (late_imu), any other
+        non-radar event older than the window start (stale_events), and a
+        steering sample at or before the newest held one (late_steering).
         """
-        if (isinstance(ev, RadarScan)
-                and not 0 <= ev.radar_id < len(self.cfg.radars)):
-            self.counters["unknown_radar_scans"] += 1
-            return False
+        if isinstance(ev, RadarScan):
+            if not 0 <= ev.radar_id < len(self.cfg.radars):
+                self.counters["unknown_radar_scans"] += 1
+                return False
+            if ev.t_capture <= self._bound_capture[ev.radar_id]:
+                self.counters["late_scans"] += 1
+                return False
         if (isinstance(ev, ImuSample) and self._input_hist
                 and ev.t <= self._input_hist[-1][0]):
             self.counters["late_imu"] += 1
@@ -593,6 +592,7 @@ class Estimator:
         except StaleScanError:
             self.counters["stale_scans"] += 1
             return False
+        self._bound_capture[scan.radar_id] = t_cap
         rows = radar_mod.scan_to_factors(scan, x_cap, self.cfg)
         self.window.dop = np.concatenate((self.window.dop, rows))
         self.counters["doppler_accepted"] += len(rows)

@@ -190,10 +190,9 @@ def _with_launch(name: str, top_speed: float, accel_time: float,
 
 @dataclass
 class TruthTrajectory:
-    """Dense truth signals on a fixed dt_sim grid (body-frame IMU-sense
+    """Dense truth signals on the DT_SIM grid (body-frame IMU-sense
     accelerations; axle forces and slip angles from the tire model)."""
 
-    dt_sim: float
     t: np.ndarray
     vx: np.ndarray
     vy: np.ndarray
@@ -207,7 +206,7 @@ class TruthTrajectory:
     alpha_r: np.ndarray
 
     def index_at(self, t: float) -> int:
-        i = int(round((t - self.t[0]) / self.dt_sim))
+        i = int(round((t - self.t[0]) / DT_SIM))
         return min(max(i, 0), len(self.t) - 1)
 
 
@@ -266,8 +265,8 @@ def simulate_truth(script: ManeuverScript, P_truth: np.ndarray,
         af_k, ar_k = tire.slip_angles(vx_k, vy_k, r_k, d_k, cfg)
         ax_k = dvx[i] - r_k * vy_k
         Fzf, Fzr = tire.vertical_loads(vx_k, ax_k, cfg)
-        Yf, _, _ = tire.magic_formula_derivs(tire.force_slip(af_k), pf)
-        Yr, _, _ = tire.magic_formula_derivs(tire.force_slip(ar_k), pr)
+        Yf = tire.magic_formula_values(tire.force_slip(af_k), pf)
+        Yr = tire.magic_formula_values(tire.force_slip(ar_k), pr)
         Fyf_k = Fzf * float(Yf)
         Fyr_k = Fzr * float(Yr)
         ay_k = (Fyf_k * math.cos(d_k) + Fyr_k) / cfg.m
@@ -283,7 +282,7 @@ def simulate_truth(script: ManeuverScript, P_truth: np.ndarray,
             raise TruthDivergenceError(
                 f"truth diverged at t={t[i]:.3f}s (|vy|={abs(vy_k):.2f} "
                 f"> vx={vx_k:.2f})")
-    return TruthTrajectory(DT_SIM, t, vx_prof, vy, r, ax, ay, delta_prof,
+    return TruthTrajectory(t, vx_prof, vy, r, ax, ay, delta_prof,
                            Fyf, Fyr, af, ar)
 
 
@@ -297,7 +296,7 @@ def gen_imu(truth: TruthTrajectory, noise: NoiseConfig,
     configured constant biases.  az/gx/gy carry the level-vehicle values."""
     n = int(math.floor(truth.t[-1] * IMU_RATE)) + 1
     ts = np.arange(n) / IMU_RATE
-    idx = np.round(ts / truth.dt_sim).astype(int)
+    idx = np.round(ts / DT_SIM).astype(int)
     idx = np.clip(idx, 0, len(truth.t) - 1)
     sa, sg = noise.imu_accel_std, noise.imu_gyro_std
     bx, by = noise.imu_accel_bias

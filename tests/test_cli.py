@@ -29,7 +29,7 @@ def test_sim_estimate_metrics_round_trip(tmp_path):
         summary = json.load(fh)
     with open(est_csv) as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == cli.ESTIMATE_CSV_HEADER
+    assert lines[0] == ",".join(cli.ESTIMATE_CSV_COLUMNS)
     assert len(lines) - 1 == summary["rows"] > 0
     assert summary["solve_time"]["count"] == summary["counters"]["solves"]
 
@@ -124,11 +124,18 @@ def _late_steering(lines):
     return lines[:k] + [late] + lines[k:], lines
 
 
+def _late_scan(lines):
+    """A radar scan sent twice in a row, and the log as it is."""
+    i = [k for k, line in enumerate(lines) if '"radar"' in line][100]
+    return lines[:i + 1] + [lines[i]] + lines[i + 1:], lines
+
+
 @pytest.mark.parametrize("mutate, counter", [
     (_late_imu, "late_imu"),
     (_stale_steering, "stale_events"),
     (_late_steering, "late_steering"),
-], ids=["late_imu", "stale_steering", "late_steering"])
+    (_late_scan, "late_scans"),
+], ids=["late_imu", "stale_steering", "late_steering", "late_scan"])
 def test_dropped_event_is_counted_and_leaves_the_estimate(tmp_path, mutate,
                                                           counter):
     mutated, reference = mutate(_lines_3s())
@@ -161,11 +168,18 @@ def test_bench_exits_3_naming_the_first_differing_solve(tmp_path,
     assert "solve 1 of repetition 1" in capsys.readouterr().err
 
 
+ESTIMATE_HEADER = ",".join(cli.ESTIMATE_CSV_COLUMNS).encode() + b"\n"
+
+
 @pytest.mark.parametrize("est_csv, named", [
     (b"t,vx\n0.0,abc\n", "'vx'"),
     (b"x,y\n0.0,1\n", "'t'"),
     (b"t,vx\n\xff\xfe\n", "cannot read CSV"),
-], ids=["non_numeric_cell", "missing_t", "invalid_utf8"])
+    (ESTIMATE_HEADER, "no data rows"),
+    (ESTIMATE_HEADER + b"10" + b",0" * (len(cli.ESTIMATE_CSV_COLUMNS) - 1)
+     + b"\n", "no row within 5 ms"),
+], ids=["non_numeric_cell", "missing_t", "invalid_utf8", "header_only",
+        "no_overlap"])
 def test_unusable_estimate_csv_exits_2_naming_file_and_column(
         tmp_path, capsys, est_csv, named):
     est = os.path.join(str(tmp_path), "est.csv")

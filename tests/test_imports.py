@@ -1,4 +1,6 @@
-"""Every name a radgrip module imports at module level is used in it.
+"""Every name a radgrip module imports at module level is used in it, and
+every function, class and constant it defines at module level is read by
+the package or the benchmark.
 
 No linter ships with the package, so this reads each module with the
 stdlib ``ast``.  The package ``__init__.py`` re-exports its imports and
@@ -10,8 +12,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "radgrip"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "radgrip"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+BENCH = sorted(p for p in (ROOT / "perfbench").glob("*.py")
+               if not p.name.startswith("test_"))
 
 
 def _unused_imports(path: Path) -> list:
@@ -32,3 +37,45 @@ def _unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
     assert not _unused_imports(path)
+
+
+def _reads(path: Path, strings: bool) -> set:
+    """Names a file reads: loaded names, attributes and imported names,
+    plus its string constants if ``strings``."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            out.add(node.value)
+    return out
+
+
+def _defined(path: Path) -> dict:
+    """Module-level functions, classes and constants of a module, by
+    line."""
+    out = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and not t.id.startswith("__"):
+                    out[t.id] = node.lineno
+    return out
+
+
+def test_every_module_level_name_is_read():
+    # perfbench names the functions it traces by string (LAYERS)
+    read = set().union(*(_reads(p, False) for p in SRC.glob("*.py")),
+                       *(_reads(p, True) for p in BENCH))
+    unread = [f"{path.name}:{line}: {name}" for path in MODULES
+              for name, line in _defined(path).items() if name not in read]
+    assert not unread, unread

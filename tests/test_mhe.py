@@ -1,5 +1,7 @@
 import copy
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -170,15 +172,23 @@ def test_shift_refreshes_priors_and_drops_factors():
     assert np.allclose(win.prior_P, P_new)
 
 
-def test_window_problem_jacobian_matches_fd():
+@pytest.mark.parametrize("vx, scans, zv_state", [
+    (22.0, 2, 3),
+    (3.0, 0, None),
+], ids=["every_class", "no_zupt_force_or_doppler_rows"])
+def test_window_problem_jacobian_matches_fd(vx, scans, zv_state):
     rng = np.random.default_rng(23)
-    win = _cruise_window(vx=22.0, n=12, with_scans=2)
+    win = _cruise_window(vx=vx, n=12, with_scans=scans)
     for x, u in zip(win.X, win.U):
         x += rng.normal(0, 0.02, 6)
         u[:] = (rng.normal(0, 1), rng.normal(0, 1), rng.normal(0, 0.1),
                 rng.normal(0, 0.05))
-    win.zv[3] = True
+    if zv_state is not None:
+        win.zv[zv_state] = True
     problem = WindowProblem(win, P_TRUTH_DEFAULT, CFG)
+    empty = [f.name for f in problem.table if not f.n]
+    assert empty == ([] if zv_state is not None
+                     else ["zupt", "lateral_force", "doppler"])
     z = problem.z_init()
     J = problem.jacobian(z).copy()
     for j in range(problem.nvar):
@@ -190,6 +200,22 @@ def test_window_problem_jacobian_matches_fd():
               - problem.residuals(zm).copy()) / (2 * h)
         scale = max(1.0, np.abs(J[:, j]).max())
         assert np.abs(J[:, j] - fd).max() / scale < 1e-6
+
+
+def test_solved_window_problem_is_freed_without_gc():
+    # replay_events pauses cyclic gc, so a reference cycle through the
+    # factor table would keep every solved problem alive
+    problem = WindowProblem(_cruise_window(), P_TRUTH_DEFAULT, CFG)
+    solve_problem(problem)
+    freed = weakref.ref(problem)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del problem
+        assert freed() is None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _mini_events(duration=1.0, vx=0.0):

@@ -136,9 +136,8 @@ def test_zupt_targets_on_tilted_rest_leak_gravity():
     lambda k, t, rng: max(0.0, t + rng.uniform(-4e-4, 4e-4)),
 ], ids=["period_4.9ms", "jitter_0.4ms"])
 def test_standstill_gets_zupt_with_imu_off_the_grid(imu_time):
-    # the detector's run can exceed T_stop by up to one IMU period, so an
-    # attitude window cut at T_stop before the entry sample spans less
-    # than T_stop once the samples leave the 5 ms grid
+    # IMU samples off the 5 ms grid, at a 4.9 ms period or with 0.4 ms
+    # jitter, still let the detector find the rest and give it ZUPT states
     cfg = default_config()
     spec = simgen.make_scenario("standstill", cfg, seed=0)
     events, _ = simgen.run_scenario(spec.script, spec.p_truth, spec.noise,

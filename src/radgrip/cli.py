@@ -57,7 +57,7 @@ def cmd_sim(scenario: str, config_path: str | None, seed: int,
     except KeyError:
         raise UsageError(
             f"unknown scenario {scenario!r}; presets: "
-            + ", ".join(simgen.PRESET_NAMES))
+            + ", ".join(simgen.PRESETS))
     events, truth = simgen.run_scenario(spec.script, spec.p_truth,
                                         spec.noise, cfg)
     try:
@@ -274,21 +274,19 @@ def compute_metrics(est_csv: str, truth_csv: str,
 
 def _param_convergence_time(est: dict) -> float | None:
     """Earliest time after which both BCD channels stay within 5 percent
-    of their final values."""
+    of their final (last finite) values; rows where a channel is NaN are
+    ignored, and a channel with no value gives None."""
     t = est["t"]
-    conv = t[0] if len(t) else None
+    conv = t[0]
     for name in ("BCD_f", "BCD_r"):
         v = est[name]
-        fin = v[np.isfinite(v)]
-        if len(fin) == 0:
+        fin = np.flatnonzero(np.isfinite(v))
+        if not len(fin):
             return None
-        final = fin[-1]
-        tol = 0.05 * abs(final) + 1e-12
-        bad = np.where(np.isfinite(v) & (np.abs(v - final) > tol))[0]
-        t_ch = t[bad[-1] + 1] if len(bad) and bad[-1] + 1 < len(t) else t[0]
-        if len(bad) and bad[-1] + 1 >= len(t):
-            return None
-        conv = max(conv, t_ch)
+        final = v[fin[-1]]
+        bad = fin[np.abs(v[fin] - final) > 0.05 * abs(final) + 1e-12]
+        if len(bad):
+            conv = max(conv, t[bad[-1] + 1])
     return float(conv)
 
 

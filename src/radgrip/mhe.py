@@ -10,7 +10,8 @@ dt (10 ms default); a radar scan binds its Doppler rows to the state at
 its capture time, inserting one back in time when the capture instant
 falls between grid states.  The full problem is solved when a scan
 contributes at least one gated-in row, after which the window sheds its
-oldest rows and priors are refreshed from the newest estimates.
+oldest rows.  Each solve's priors are centred on its entry iterate: the
+window's first state and the tire parameters of the previous solve.
 
 The solver takes at most solver.max_iterations (default 1) Gauss-Newton
 steps on the dense window problem, so the estimate never depends on the
@@ -52,7 +53,7 @@ _T_EPS = 1e-9
 # ---------------------------------------------------------------------------
 
 class SlidingWindow:
-    """Time-ordered states with attached measurements and priors.
+    """Time-ordered states with attached measurements.
 
     State k is row k of
       t (K,)     time,
@@ -67,9 +68,7 @@ class SlidingWindow:
     lever] of dop (M, 5), bound to the state at t_state; its expected value
     is -(cx*vx + cy*vy + lever*r) and its deviation the configured
     sigma_doppler.  Rows are added by concatenation, so every array is
-    replaced, never resized, when the window grows.  prior_P starts as
-    cfg.initial_params clipped into the box, the one clip of the start
-    vector.
+    replaced, never resized, when the window grows.
     """
 
     def __init__(self, cfg: VehicleConfig):
@@ -80,9 +79,6 @@ class SlidingWindow:
         self.grid = np.empty(0, dtype=bool)
         self.zv = np.empty(0, dtype=bool)
         self.dop = np.empty((0, 5))
-        self.prior_x: np.ndarray | None = None
-        self.prior_P: np.ndarray = np.clip(
-            cfg.initial_params, cfg.bounds.full_min(), cfg.bounds.full_max())
 
     def _states(self):
         return self.t, self.X, self.U, self.grid, self.zv
@@ -105,7 +101,6 @@ class SlidingWindow:
         x0[3:6] = self.cfg.initial_biases
         self._keep(slice(0))
         self._insert(0, t, x0, u, True)
-        self.prior_x = x0.copy()
 
     def _predict(self, t: float) -> np.ndarray:
         """The newest state propagated to t under its own input."""
@@ -144,8 +139,8 @@ class SlidingWindow:
         self._insert(i, t, x, u, False)
         return x
 
-    def shift(self, P_new: np.ndarray):
-        """Evict states until the span fits the horizon, refresh priors.
+    def shift(self):
+        """Evict states until the span fits the horizon.
 
         Returns (t, X, U) of the evicted grid states, oldest first.
         """
@@ -157,8 +152,6 @@ class SlidingWindow:
         if n:
             self._keep(slice(n, None))
             self.dop = self.dop[self.dop[:, 0] >= self.t[0] - _T_EPS]
-        self.prior_x = self.X[0].copy()
-        self.prior_P = np.asarray(P_new, dtype=float).copy()
         return evicted
 
 
@@ -189,7 +182,9 @@ class WindowProblem:
 
     Variables are z = [x_0 ... x_{K-1}, P] with x_k the 6 state components
     and P the 12 tire parameters (front then rear axle).  P_init is taken
-    as given; solve_problem clamps the initial iterate into the box.
+    as given; solve_problem clamps the initial iterate into the box.  The
+    priors are centred on the entry iterate: the state prior on the
+    window's first state, the parameter prior on P_init.
 
     table holds one Factor per class in row order: the two priors,
     process, ZUPT, lateral force and Doppler, each binding this window's
@@ -211,7 +206,7 @@ class WindowProblem:
         self.P_init = P_init
         self.cauchy = cfg.solver.cauchy_scale
         t, U, dop = window.t, window.U, window.dop
-        prior_x, prior_P = window.prior_x, window.prior_P
+        prior_x = window.X[0].copy()
         dt = np.diff(t)
         u_ax, u_ay, u_r, u_delta = U.T
 
@@ -243,7 +238,7 @@ class WindowProblem:
                    lambda X, P: (w_x0 * (X[0] - prior_x))[None],
                    lambda X, P: [(np.zeros(1, int), np.diag(w_x0)[None])]),
             Factor("prior_params", 1, 12,
-                   lambda X, P: (w_P * (P - prior_P))[None],
+                   lambda X, P: (w_P * (P - P_init))[None],
                    lambda X, P: [(np.full(1, 6 * K), np.diag(w_P)[None])]),
             Factor("process", K - 1, 6,
                    lambda X, P: motion.process_residual(
@@ -462,7 +457,9 @@ class Estimator:
     def __init__(self, cfg: VehicleConfig):
         self.cfg = cfg
         self.window = SlidingWindow(cfg)
-        self.P = self.window.prior_P.copy()
+        # the one clip of the start vector into the box
+        self.P = np.clip(cfg.initial_params, cfg.bounds.full_min(),
+                         cfg.bounds.full_max())
         self.rows: list[OutputRow] = []
         self.reports: list[SolveReport] = []
         self.counters = {
@@ -570,7 +567,7 @@ class Estimator:
 
     def _advance_grid(self, t: float) -> None:
         dt = self.cfg.thresholds.dt
-        while self._next_grid_t is not None and self._next_grid_t <= t + _T_EPS:
+        while self._next_grid_t <= t + _T_EPS:
             tg = self._next_grid_t
             u = self._current_input(tg)
             self.window.push_state(tg, u)
@@ -612,7 +609,7 @@ class Estimator:
         self.counters["solves"] += 1
         if trigger == "watchdog":
             self.counters["watchdog_solves"] += 1
-        self._emit(*self.window.shift(self.P))
+        self._emit(*self.window.shift())
         self._last_solve_t = t
 
     def _emit(self, t, X, U) -> None:

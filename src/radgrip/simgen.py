@@ -8,12 +8,17 @@ see.  Sensor synthesis adds Gaussian IMU noise and biases, draws radar
 point bearings from Cauchy distributions, computes their true Doppler with
 the estimator's own projection formula, wraps it at the Nyquist velocity,
 and delays each scan by a processing latency.
+
+Each preset is one PRESETS entry: the builder of its segment list, a
+factor on both axles' peak grip D and the NoiseConfig values it sets.
+NoiseConfig holds only what a preset varies (the seed, the IMU biases and
+the outlier fraction); every other noise level is a module constant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,52 +42,38 @@ RADAR_PERIOD = 0.060
 RADAR_OFFSET = 0.020
 RADAR_PHASE = 0.003
 
+# sensor noise: IMU white noise (Gaussian); points per scan (Gaussian);
+# true bearings about the boresight (Cauchy: scene structure with heavy
+# tails) and the Gaussian noise on the reported ones; Doppler noise (Cauchy:
+# the outlier stimulus of the robust loss); processing latency (Gaussian,
+# clipped at zero); SNR (uniform); the Doppler offset of an outlier point
+IMU_ACCEL_STD = 0.012   # m/s^2
+IMU_GYRO_STD = 0.0006   # rad/s
+POINTS_MEAN = 30.0
+POINTS_STD = 5.0
+GAMMA_THETA = 0.25      # rad
+GAMMA_PHI = 0.03
+SIGMA_THETA = 0.005
+SIGMA_PHI = 0.005
+GAMMA_VD = 0.04         # m/s
+LATENCY_MEAN = 0.090    # s
+LATENCY_STD = 0.004
+SNR_LO = 8.0            # dB
+SNR_HI = 30.0
+OUTLIER_OFFSET = 10.0   # m/s
 
-# ---------------------------------------------------------------------------
-# Noise model
-# ---------------------------------------------------------------------------
 
 @dataclass
 class NoiseConfig:
-    """Parameters of the synthetic sensor distributions.
-
-    Bearings are drawn from Cauchy distributions (scene structure with
-    heavy tails), Doppler noise is Cauchy (outlier stimulus for the robust
-    loss), measurement angle noise is Gaussian, latency is Gaussian clipped
-    at zero.  Setting a Gaussian sigma or gamma_vd to zero produces
-    noiseless channels for closed-loop exactness tests.
-    """
+    """The sensor-noise values a preset sets: the draw seed, the constant
+    IMU biases and the fraction of radar points that are outliers."""
 
     seed: int = 0
-    imu_accel_std: float = 0.012
-    imu_gyro_std: float = 0.0006
     imu_accel_bias: tuple = (0.05, -0.04)
     imu_gyro_bias: float = 0.001
-    mu_N: float = 30.0
-    sigma_N: float = 5.0
-    mu_theta: float = 0.0
-    gamma_theta: float = 0.25
-    mu_phi: float = 0.0
-    gamma_phi: float = 0.03
-    sigma_theta: float = 0.005
-    sigma_phi: float = 0.005
-    mu_vd: float = 0.0
-    gamma_vd: float = 0.04
-    mu_td: float = 0.090
-    sigma_td: float = 0.004
-    snr_lo: float = 8.0
-    snr_hi: float = 30.0
     outlier_frac: float = 0.0
-    outlier_offset: float = 10.0
 
     def validate(self) -> "NoiseConfig":
-        if self.gamma_theta <= 0 or self.gamma_phi <= 0:
-            raise RangeError("bearing Cauchy scales must be positive")
-        for name in ("imu_accel_std", "imu_gyro_std", "sigma_N",
-                     "sigma_theta", "sigma_phi", "gamma_vd", "sigma_td",
-                     "mu_td"):
-            if getattr(self, name) < 0:
-                raise RangeError(f"noise parameter {name} must be >= 0")
         if not (0.0 <= self.outlier_frac <= 1.0):
             raise RangeError("outlier_frac must be in [0, 1]")
         return self
@@ -129,8 +120,9 @@ def _sine_curvature_transition(offset: float, T: float, speed: float,
     return steer
 
 
-def double_lane_change(speed: float, cfg: VehicleConfig) -> ManeuverScript:
-    """ISO 3888-1 double-lane-change layout driven at the given speed.
+def double_lane_change(speed: float, cfg: VehicleConfig) -> list:
+    """Segments of the ISO 3888-1 double-lane-change layout driven at the
+    given speed.
 
     Section lengths follow the standard (15/30/25/25/15 m, 3.5 m offset)
     and are stretched linearly above a 25 m/s design speed so the required
@@ -140,7 +132,7 @@ def double_lane_change(speed: float, cfg: VehicleConfig) -> ManeuverScript:
     lengths = [15.0, 30.0, 25.0, 25.0, 15.0]
     durs = [L * scale / speed for L in lengths]
     wb = cfg.lf + cfg.lr
-    segs = [
+    return [
         Segment(durs[0], None, 0.0),
         Segment(durs[1], None,
                 _sine_curvature_transition(3.5, durs[1], speed, wb)),
@@ -149,39 +141,26 @@ def double_lane_change(speed: float, cfg: VehicleConfig) -> ManeuverScript:
                 _sine_curvature_transition(-3.5, durs[3], speed, wb)),
         Segment(durs[4], None, 0.0),
     ]
-    return ManeuverScript("double_lane_change", speed, segs)
 
 
-def constant_radius(speed: float, delta: float,
-                    hold: float = 6.0) -> ManeuverScript:
-    ramp = 1.0
-    segs = [
-        Segment(ramp, None, lambda t: delta * min(t / ramp, 1.0)),
-        Segment(hold, None, delta),
-    ]
-    return ManeuverScript("constant_radius", speed, segs)
+def constant_radius(delta: float) -> list:
+    """Steer ramped to delta over 1 s, then held for 6 s."""
+    return [Segment(1.0, None, lambda t: delta * min(t, 1.0)),
+            Segment(6.0, None, delta)]
 
 
-def slalom(speed: float, amplitude: float, freq: float,
-           duration: float) -> ManeuverScript:
+def slalom(amplitude: float, freq: float, duration: float) -> list:
+    """Sine steer whose amplitude ramps in over the first second."""
     def steer(t: float) -> float:
-        env = min(t / 1.0, 1.0)
-        return amplitude * env * math.sin(2.0 * math.pi * freq * t)
-    return ManeuverScript("slalom", speed,
-                          [Segment(duration, None, steer)])
+        return amplitude * min(t, 1.0) * math.sin(2.0 * math.pi * freq * t)
+    return [Segment(duration, None, steer)]
 
 
-def _with_launch(name: str, top_speed: float, accel_time: float,
-                 body: list, standstill: float = 1.5,
-                 settle: float = 1.0) -> ManeuverScript:
-    """Common scenario skeleton: standstill preamble, launch, settle, body."""
-    segs = [
-        Segment(standstill, 0.0, 0.0),
-        Segment(accel_time, top_speed, 0.0),
-        Segment(settle, None, 0.0),
-    ]
-    segs.extend(body)
-    return ManeuverScript(name, 0.0, segs)
+def _with_launch(top_speed: float, accel_time: float, body: list) -> list:
+    """Common scenario skeleton: 1.5 s standstill preamble, launch, 1 s
+    settle, body."""
+    return [Segment(1.5, 0.0, 0.0), Segment(accel_time, top_speed, 0.0),
+            Segment(1.0, None, 0.0), *body]
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +184,11 @@ class TruthTrajectory:
     alpha_f: np.ndarray
     alpha_r: np.ndarray
 
-    def index_at(self, t: float) -> int:
-        i = int(round((t - self.t[0]) / DT_SIM))
-        return min(max(i, 0), len(self.t) - 1)
+    def index_at(self, t):
+        """Index of the sample nearest to time t, clipped into the
+        trajectory; an array of times gives an array of indices."""
+        i = np.rint((np.asarray(t) - self.t[0]) / DT_SIM).astype(int)
+        return np.clip(i, 0, len(self.t) - 1)
 
 
 def simulate_truth(script: ManeuverScript, P_truth: np.ndarray,
@@ -291,18 +272,16 @@ def simulate_truth(script: ManeuverScript, P_truth: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def gen_imu(truth: TruthTrajectory, noise: NoiseConfig,
-            rng: np.random.Generator) -> list[ImuSample]:
+            rng: np.random.Generator, g: float) -> list[ImuSample]:
     """Sample the truth at IMU_RATE, adding white noise and the
-    configured constant biases.  az/gx/gy carry the level-vehicle values."""
+    configured constant biases.  az/gx/gy carry the level-vehicle values:
+    gravity g and no roll or pitch rate."""
     n = int(math.floor(truth.t[-1] * IMU_RATE)) + 1
     ts = np.arange(n) / IMU_RATE
-    idx = np.round(ts / DT_SIM).astype(int)
-    idx = np.clip(idx, 0, len(truth.t) - 1)
-    sa, sg = noise.imu_accel_std, noise.imu_gyro_std
+    idx = truth.index_at(ts)
     bx, by = noise.imu_accel_bias
-    g = 9.81
-    na = rng.normal(0.0, 1.0, size=(n, 3)) * sa
-    ng = rng.normal(0.0, 1.0, size=(n, 3)) * sg
+    na = rng.normal(0.0, 1.0, size=(n, 3)) * IMU_ACCEL_STD
+    ng = rng.normal(0.0, 1.0, size=(n, 3)) * IMU_GYRO_STD
     out = []
     for k in range(n):
         i = idx[k]
@@ -344,30 +323,26 @@ def gen_radar_scan(truth: TruthTrajectory, t_capture: float,
     """
     i = truth.index_at(t_capture)
     vx, vy, r = truth.vx[i], truth.vy[i], truth.r[i]
-    n_pts = max(0, int(round(rng.normal(noise.mu_N, noise.sigma_N))))
-    theta = np.clip(noise.mu_theta
-                    + noise.gamma_theta * rng.standard_cauchy(n_pts),
+    n_pts = max(0, int(round(rng.normal(POINTS_MEAN, POINTS_STD))))
+    theta = np.clip(GAMMA_THETA * rng.standard_cauchy(n_pts),
                     -ext.fov_azimuth, ext.fov_azimuth)
-    phi = np.clip(noise.mu_phi
-                  + noise.gamma_phi * rng.standard_cauchy(n_pts),
+    phi = np.clip(GAMMA_PHI * rng.standard_cauchy(n_pts),
                   -ext.fov_elevation, ext.fov_elevation)
     b = bearing_vectors(theta, phi)
     cx, cy, lever = body_projection(ext, b)
     v_true = -(cx * vx + cy * vy + lever * r)
     out_u = rng.uniform(0.0, 1.0, n_pts)
     v_true = np.where(out_u < noise.outlier_frac,
-                      v_true + noise.outlier_offset, v_true)
-    n_vd = noise.mu_vd + noise.gamma_vd * rng.standard_cauchy(n_pts)
+                      v_true + OUTLIER_OFFSET, v_true)
+    n_vd = GAMMA_VD * rng.standard_cauchy(n_pts)
     v_d = wrap(v_true + n_vd, ext.nyquist) if n_pts else np.zeros(0)
-    theta_hat = np.clip(theta + rng.normal(0.0, 1.0, n_pts)
-                        * noise.sigma_theta,
+    theta_hat = np.clip(theta + rng.normal(0.0, 1.0, n_pts) * SIGMA_THETA,
                         -ext.fov_azimuth, ext.fov_azimuth)
-    phi_hat = np.clip(phi + rng.normal(0.0, 1.0, n_pts) * noise.sigma_phi,
+    phi_hat = np.clip(phi + rng.normal(0.0, 1.0, n_pts) * SIGMA_PHI,
                       -ext.fov_elevation, ext.fov_elevation)
-    snr = rng.uniform(noise.snr_lo, noise.snr_hi, n_pts)
+    snr = rng.uniform(SNR_LO, SNR_HI, n_pts)
     rng_m = rng.uniform(5.0, 120.0, n_pts)
-    # always drawn so the stream position is independent of the parameters
-    latency = max(0.0, rng.normal(noise.mu_td, noise.sigma_td))
+    latency = max(0.0, rng.normal(LATENCY_MEAN, LATENCY_STD))
     points = tuple(
         RadarPoint(float(rng_m[k]), float(theta_hat[k]), float(phi_hat[k]),
                    float(v_d[k]), float(snr[k]))
@@ -390,7 +365,7 @@ def run_scenario(script: ManeuverScript, P_truth: np.ndarray,
     truth = simulate_truth(script, P_truth, cfg)
     rng = np.random.default_rng(noise.seed)
     events: list = []
-    events.extend(gen_imu(truth, noise, rng))
+    events.extend(gen_imu(truth, noise, rng, cfg.g))
     t_end = truth.t[-1]
     n_st = int(math.floor(t_end * STEER_RATE)) + 1
     for k in range(n_st):
@@ -423,22 +398,14 @@ P_TRUTH_DEFAULT = np.array([10.5, 1.65, 0.92, 0.20, 0.0, 0.0,
                             12.0, 1.60, 0.98, 0.10, 0.0, 0.0])
 
 
-def _scaled_grip(p: np.ndarray, factor: float) -> np.ndarray:
-    """p with both axles' peak factor D scaled."""
-    p = p.copy()
-    p[[2, 8]] *= factor
-    return p
-
-
 @dataclass
 class ScenarioSpec:
-    name: str
     script: ManeuverScript
     p_truth: np.ndarray
     noise: NoiseConfig
 
 
-def _fitlap_body(cfg: VehicleConfig) -> list:
+def _fitlap_body() -> list:
     """Varied cornering at 30-45 m/s spanning the usable slip range."""
     segs = []
 
@@ -462,43 +429,38 @@ def _fitlap_body(cfg: VehicleConfig) -> list:
     return segs
 
 
+def _dlc65(cfg: VehicleConfig) -> list:
+    return _with_launch(65.0, 5.0, double_lane_change(65.0, cfg)
+                        + [Segment(1.5, None, 0.0)])
+
+
+# name -> (segment list of cfg, factor on both axles' peak D, NoiseConfig
+# values); every preset starts at rest
+PRESETS = {
+    "standstill": (lambda cfg: [Segment(3.0, 0.0, 0.0)], 1.0,
+                   {"imu_accel_bias": (0.15, 0.15), "imu_gyro_bias": 0.008}),
+    "dlc65": (_dlc65, 1.0, {}),
+    "dlc65_outliers": (_dlc65, 1.0, {"outlier_frac": 0.2}),
+    "const_radius": (lambda cfg: _with_launch(30.0, 3.0,
+                                              constant_radius(0.035)),
+                     1.0, {}),
+    "slalom": (lambda cfg: _with_launch(25.0, 2.5, slalom(0.05, 0.5, 6.0)),
+               1.0, {}),
+    "brake_turn": (lambda cfg: _with_launch(55.0, 4.5, [
+        Segment(2.0, None, 0.0),
+        Segment(2.0, 25.0, 0.0),
+        Segment(3.0, None, lambda t: 0.06 * min(t, 1.0)),
+        Segment(1.5, None, 0.0),
+    ]), 0.65, {}),
+    "fitlap": (lambda cfg: _with_launch(40.0, 4.0, _fitlap_body()), 1.0, {}),
+}
+
+
 def make_scenario(name: str, cfg: VehicleConfig,
                   seed: int = 0) -> ScenarioSpec:
-    """Build one of the named presets; raises KeyError for unknown names."""
-    noise = NoiseConfig(seed=seed)
-    p = P_TRUTH_DEFAULT
-    if name == "standstill":
-        script = ManeuverScript("standstill", 0.0,
-                                [Segment(3.0, 0.0, 0.0)])
-        noise = replace(noise, imu_accel_bias=(0.15, 0.15),
-                        imu_gyro_bias=0.008)
-    elif name in ("dlc65", "dlc65_outliers"):
-        dlc = double_lane_change(65.0, cfg)
-        body = list(dlc.segments) + [Segment(1.5, None, 0.0)]
-        script = _with_launch("dlc65", 65.0, 5.0, body)
-        if name == "dlc65_outliers":
-            noise = replace(noise, outlier_frac=0.2)
-    elif name == "const_radius":
-        body = list(constant_radius(30.0, 0.035).segments)
-        script = _with_launch(name, 30.0, 3.0, body)
-    elif name == "slalom":
-        body = list(slalom(25.0, 0.05, 0.5, 6.0).segments)
-        script = _with_launch(name, 25.0, 2.5, body)
-    elif name == "brake_turn":
-        body = [
-            Segment(2.0, None, 0.0),
-            Segment(2.0, 25.0, 0.0),
-            Segment(3.0, None, lambda t: 0.06 * min(t / 1.0, 1.0)),
-            Segment(1.5, None, 0.0),
-        ]
-        script = _with_launch(name, 55.0, 4.5, body)
-        p = _scaled_grip(P_TRUTH_DEFAULT, 0.65)
-    elif name == "fitlap":
-        script = _with_launch(name, 40.0, 4.0, _fitlap_body(cfg))
-    else:
-        raise KeyError(name)
-    return ScenarioSpec(name, script, p, noise)
-
-
-PRESET_NAMES = ("standstill", "dlc65", "dlc65_outliers", "const_radius",
-                "slalom", "brake_turn", "fitlap")
+    """Build one of the PRESETS; raises KeyError for unknown names."""
+    segments, grip, noise = PRESETS[name]
+    p = P_TRUTH_DEFAULT.copy()
+    p[[2, 8]] *= grip
+    return ScenarioSpec(ManeuverScript(name, 0.0, segments(cfg)), p,
+                        NoiseConfig(seed=seed, **noise))

@@ -2,6 +2,7 @@ import gzip
 import json
 import os
 
+import numpy as np
 import pytest
 
 from radgrip import cli, mhe
@@ -39,6 +40,38 @@ def test_sim_estimate_metrics_round_trip(tmp_path):
         metrics = json.load(fh)
     assert metrics["channels"]["vx"]["samples"] > 0
     assert metrics["channels"]["vx"]["rmse"] < 0.05
+
+
+def test_sim_and_estimate_share_the_configured_gravity(tmp_path):
+    # the simulated IMU reads the config's g at rest, so the standstill
+    # is detected and its ZUPT states pin the accel biases (0.15, 0.15)
+    out = str(tmp_path)
+    config = os.path.join(out, "g.yaml")
+    with open(config, "w", encoding="utf-8") as fh:
+        fh.write("g: 9.5\n")
+    assert cli.main(["sim", "standstill", "--config", config,
+                     "--out", out]) == 0
+    est_csv = os.path.join(out, "est.csv")
+    assert cli.main(["estimate", os.path.join(out, "standstill_log.jsonl"),
+                     "--config", config, "--out", est_csv]) == 0
+    with open(est_csv + ".summary.json") as fh:
+        assert json.load(fh)["counters"]["zv_states"] > 0
+    est = cli._read_csv(est_csv, ("bx", "by"))
+    assert est["bx"][-1] == pytest.approx(0.15, abs=0.02)
+    assert est["by"][-1] == pytest.approx(0.15, abs=0.02)
+
+
+def test_param_convergence_time_on_a_hand_made_table():
+    nan = np.nan
+    # each channel is last outside the 5 % band of its last finite value
+    # (10 and 20) at t = 1.0 and t = 0.5, so both have settled from the
+    # next row, t = 1.5; NaN rows are skipped
+    est = {"t": np.arange(6) * 0.5,
+           "BCD_f": np.array([5.0, 9.0, 11.0, nan, 10.2, 10.0]),
+           "BCD_r": np.array([nan, 15.0, 20.5, 20.1, 20.0, nan])}
+    assert cli._param_convergence_time(est) == 1.5
+    est["BCD_r"][:] = nan
+    assert cli._param_convergence_time(est) is None
 
 
 def test_usage_errors_exit_1(tmp_path):

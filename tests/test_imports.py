@@ -1,6 +1,7 @@
-"""Every name a radgrip module imports at module level is used in it, and
+"""Every name a radgrip module imports at module level is used in it,
 every function, class and constant it defines at module level is read by
-the package or the benchmark.
+the package or the benchmark, and every function parameter is read in its
+function's body.
 
 No linter ships with the package, so this reads each module with the
 stdlib ``ast``.  The package ``__init__.py`` re-exports its imports and
@@ -79,3 +80,28 @@ def test_every_module_level_name_is_read():
     unread = [f"{path.name}:{line}: {name}" for path in MODULES
               for name, line in _defined(path).items() if name not in read]
     assert not unread, unread
+
+
+def _unread_parameters(path: Path) -> list:
+    """Parameters of each function (lambdas aside) that its body, nested
+    functions included, never loads; self, cls and names starting with _
+    are exempt."""
+    out = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  *filter(None, (a.vararg, a.kwarg)))]
+        loaded = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        out += [f"{path.name}:{fn.lineno}: {fn.name}({p})" for p in params
+                if p not in loaded and p not in ("self", "cls")
+                and not p.startswith("_")]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_function_parameter_is_read(path):
+    assert not _unread_parameters(path)

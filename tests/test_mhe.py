@@ -43,8 +43,6 @@ def _cruise_window(vx=15.0, n=15, with_scans=3):
     win.X[0, 0] = vx
     for k in range(1, n):
         win.push_state(k * DT, ZERO_U)
-    win.prior_x = win.X[0].copy()
-    win.prior_P = P_TRUTH_DEFAULT.copy()
     rng = np.random.default_rng(0)
     for s in range(with_scans):
         t_cap = win.t[-1] - 0.0205 * (s + 1) - 0.0032
@@ -153,7 +151,7 @@ def test_shift_span_arithmetic():
     for k in range(1, 18):
         win.push_state(k * DT, ZERO_U)
     assert win.t[-1] - win.t[0] == pytest.approx(0.17)
-    evicted_t, _, _ = win.shift(P_TRUTH_DEFAULT)
+    evicted_t, _, _ = win.shift()
     assert len(evicted_t) == 2
     assert win.t[-1] - win.t[0] == pytest.approx(0.15)
 
@@ -165,11 +163,13 @@ def test_shift_refreshes_priors_and_drops_factors():
     _attach(win, RadarScan(0, win.t[0] + 0.0052, win.t[-1],
                            tuple(pts)))
     assert len(win.dop) == 1
-    P_new = P_TRUTH_DEFAULT * 1.01
-    win.shift(P_new)
+    win.shift()
     assert len(win.dop) == 0
-    assert np.allclose(win.prior_x, win.X[0])
-    assert np.allclose(win.prior_P, P_new)
+    # the next problem's priors are centred on its entry iterate
+    problem = WindowProblem(win, P_TRUTH_DEFAULT * 1.01, CFG)
+    cost = problem.cost_breakdown(problem.residuals(problem.z_init()))
+    assert cost["prior_state"] == 0.0
+    assert cost["prior_params"] == 0.0
 
 
 @pytest.mark.parametrize("vx, scans, zv_state", [

@@ -159,7 +159,7 @@ def cmd_estimate(log_path: str, config_path: str | None, out_csv: str,
             fh.write("\n")
     except OSError as e:
         raise IoError(f"cannot write estimate CSV {out_csv!r}: {e}") from e
-    if not est.zupt_used:
+    if not est.counters["zv_states"]:
         print("warning: biases unverified (log has no standstill preamble)",
               file=sys.stderr)
     if not quiet:

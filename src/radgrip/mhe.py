@@ -445,13 +445,25 @@ def output_row(t: float, x: np.ndarray, u: np.ndarray, P: np.ndarray,
 # Event-driven estimator
 # ---------------------------------------------------------------------------
 
+# counter of an admitted event, and of one dropped as late, per event class
+_ADMITTED = {ImuSample: "imu", SteeringSample: "steering",
+             ReferenceVelocity: "ref_vel", RadarScan: "scans"}
+_LATE = {cls: "late_" + name for cls, name in _ADMITTED.items()}
+# counter of a Doppler point per gate rejection reason
+_REJECTED = {radar_mod.REJECT_ALIAS: "doppler_rejected_alias",
+             radar_mod.REJECT_LOW_SNR: "doppler_rejected_low_snr",
+             radar_mod.REJECT_INNOVATION: "doppler_rejected_innovation"}
+
+
 class Estimator:
     """Single-sequence estimation pipeline over a time-ordered event stream.
 
     Feed events with process_event (in arrival order), then call finalize
     to flush the last window.  Output rows appear in `rows`, one per grid
     state, each carrying the final (smoothed) estimate that state had when
-    it left the window.
+    it left the window.  attach admits every event by one rule; each is
+    counted under its class (imu, steering, ref_vel, scans) or under the
+    reason it was dropped.
     """
 
     def __init__(self, cfg: VehicleConfig):
@@ -462,20 +474,17 @@ class Estimator:
                          cfg.bounds.full_max())
         self.rows: list[OutputRow] = []
         self.reports: list[SolveReport] = []
-        self.counters = {
-            "imu": 0, "steering": 0, "ref_vel": 0, "scans": 0,
-            "stale_scans": 0, "stale_events": 0, "doppler_accepted": 0,
-            "doppler_rejected": 0, "zv_states": 0, "solves": 0,
-            "watchdog_solves": 0, "delta_clamped": 0,
-            "unknown_radar_scans": 0, "late_imu": 0, "late_steering": 0,
-            "late_scans": 0,
-        }
+        self.counters = dict.fromkeys((
+            *_ADMITTED.values(), *_LATE.values(), "unknown_radar_scans",
+            "stale_events", "stale_scans", "doppler_accepted",
+            "doppler_rejected", *_REJECTED.values(), "zv_states", "solves",
+            "watchdog_solves", "delta_clamped"), 0)
+        # own time of the newest admitted event per stream: an event class,
+        # or a radar id for scans
+        self._newest: dict = {}
         # (t, U row) per IMU sample, oldest first
         self._input_hist: deque[tuple[float, tuple]] = deque()
         self._latest_delta = 0.0
-        self._latest_delta_t = -math.inf
-        # newest capture time bound to the window, per radar
-        self._bound_capture = [-math.inf] * len(cfg.radars)
         self._standstill = zupt.INITIAL_STANDSTILL
         self._have_fix = False
         self._next_grid_t: float | None = None
@@ -493,10 +502,11 @@ class Estimator:
         return (0.0, 0.0, 0.0, self._latest_delta)
 
     def _note_imu(self, ev: ImuSample) -> None:
-        self.counters["imu"] += 1
         hist = self._input_hist
         hist.append((ev.t, (ev.ax, ev.ay, ev.r, self._latest_delta)))
-        while hist and hist[0][0] < ev.t - 1.0:
+        # every lookup is at or after the window start, so the newest
+        # sample at or before it is the oldest one needed
+        while len(hist) > 1 and hist[1][0] <= self.window.t[0]:
             hist.popleft()
         # the detector has no speed until the first radar fix
         speed = (math.hypot(*self.window.X[-1, :2]) if self._have_fix
@@ -507,63 +517,56 @@ class Estimator:
                                                   comp, ev.t, self.cfg)
 
     def _note_steering(self, ev: SteeringSample) -> None:
-        self.counters["steering"] += 1
         delta = ev.delta / self.cfg.steering_ratio
         if abs(delta) > self.cfg.delta_max:
             self.counters["delta_clamped"] += 1
             delta = math.copysign(self.cfg.delta_max, delta)
         self._latest_delta = delta
-        self._latest_delta_t = ev.t
 
     # -- event ingestion ---------------------------------------------------
 
     def attach(self, ev) -> bool:
         """Route one event into the window; True when a solve is due.
 
-        Five kinds of event are counted and dropped before they touch any
-        state, as if they were not logged: a scan from a radar the config
-        does not list (unknown_radar_scans), a scan captured at or before
-        the newest capture bound from the same radar (late_scans), an IMU
-        sample at or before the newest held one (late_imu), any other
-        non-radar event older than the window start (stale_events), and a
-        steering sample at or before the newest held one (late_steering).
+        A stream is an event class, or a radar id for scans; an event's own
+        time is a scan's capture time, any other event's sample time.  The
+        first of these checks an event fails drops it, counted, before it
+        touches any state: a scan from a radar the config does not list
+        (unknown_radar_scans), a non-radar event older than the window
+        start (stale_events), an own time not after the newest admitted
+        one of its stream (late_imu, late_steering, late_ref_vel,
+        late_scans).  An admitted scan captured before the window start
+        binds nothing and is counted again in stale_scans.
         """
-        if isinstance(ev, RadarScan):
+        t_ev = event_time(ev)
+        cls = type(ev)
+        if cls is RadarScan:
             if not 0 <= ev.radar_id < len(self.cfg.radars):
                 self.counters["unknown_radar_scans"] += 1
                 return False
-            if ev.t_capture <= self._bound_capture[ev.radar_id]:
-                self.counters["late_scans"] += 1
-                return False
-        if (isinstance(ev, ImuSample) and self._input_hist
-                and ev.t <= self._input_hist[-1][0]):
-            self.counters["late_imu"] += 1
-            return False
-        t_ev = event_time(ev)
+            stream, t_own = ev.radar_id, ev.t_capture
+        else:
+            stream, t_own = cls, t_ev
         if not len(self.window.t):
             self.window.seed(t_ev, self._current_input(t_ev))
             self._next_grid_t = t_ev + self.cfg.thresholds.dt
             self._last_solve_t = t_ev
-        elif (not isinstance(ev, RadarScan)
-              and t_ev < self.window.t[0] - _T_EPS):
+        elif cls is not RadarScan and t_ev < self.window.t[0] - _T_EPS:
             self.counters["stale_events"] += 1
             return False
-        if isinstance(ev, SteeringSample) and t_ev <= self._latest_delta_t:
-            self.counters["late_steering"] += 1
+        if t_own <= self._newest.get(stream, -math.inf):
+            self.counters[_LATE[cls]] += 1
             return False
-
-        if isinstance(ev, ImuSample):
+        self._newest[stream] = t_own
+        self.counters[_ADMITTED[cls]] += 1
+        if cls is ImuSample:
             self._note_imu(ev)
-        elif isinstance(ev, SteeringSample):
+        elif cls is SteeringSample:
             self._note_steering(ev)
-        elif isinstance(ev, ReferenceVelocity):
-            self.counters["ref_vel"] += 1
-
         self._advance_grid(t_ev)
-
-        if isinstance(ev, RadarScan):
-            return self._attach_scan(ev)
-        return False
+        # a watchdog solve in the advance can shift the window past a
+        # scan's capture, so the stale-scan test comes after it
+        return cls is RadarScan and self._attach_scan(ev)
 
     def _advance_grid(self, t: float) -> None:
         dt = self.cfg.thresholds.dt
@@ -576,12 +579,10 @@ class Estimator:
                 self.counters["zv_states"] += 1
             self._next_grid_t = tg + dt
             if (tg - self._last_solve_t
-                    >= self.cfg.thresholds.watchdog_period - _T_EPS
-                    and len(self.window.t) >= 2):
+                    >= self.cfg.thresholds.watchdog_period - _T_EPS):
                 self._solve_and_shift(tg, "watchdog")
 
     def _attach_scan(self, scan: RadarScan) -> bool:
-        self.counters["scans"] += 1
         t_cap = scan.t_capture
         try:
             x_cap = self.window.ensure_state_at(t_cap,
@@ -589,11 +590,12 @@ class Estimator:
         except StaleScanError:
             self.counters["stale_scans"] += 1
             return False
-        self._bound_capture[scan.radar_id] = t_cap
-        rows = radar_mod.scan_to_factors(scan, x_cap, self.cfg)
+        rows, rejected = radar_mod.scan_to_factors(scan, x_cap, self.cfg)
         self.window.dop = np.concatenate((self.window.dop, rows))
         self.counters["doppler_accepted"] += len(rows)
-        self.counters["doppler_rejected"] += len(scan.points) - len(rows)
+        self.counters["doppler_rejected"] += len(rejected)
+        for reason in rejected:
+            self.counters[_REJECTED[reason]] += 1
         return bool(len(rows))
 
     def process_event(self, ev) -> None:
@@ -621,10 +623,6 @@ class Estimator:
         w = self.window
         self._emit(w.t[w.grid], w.X[w.grid], w.U[w.grid])
         self.window = SlidingWindow(self.cfg)
-
-    @property
-    def zupt_used(self) -> bool:
-        return self.counters["zv_states"] > 0
 
 
 def replay_events(events, cfg: VehicleConfig) -> Estimator:

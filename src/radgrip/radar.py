@@ -81,9 +81,10 @@ def doppler_jacobian(cx, cy, lever, w) -> np.ndarray:
 
 
 def scan_to_factors(scan: RadarScan, x_cap: np.ndarray,
-                    cfg: VehicleConfig) -> np.ndarray:
-    """Doppler rows [t_capture, v_r, cx, cy, lever], shape (M, 5), of the
-    points of a scan that pass the gate.
+                    cfg: VehicleConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, rejected): the Doppler rows [t_capture, v_r, cx, cy, lever],
+    shape (M, 5), of the points of a scan that pass the gate, and the
+    gate_points reason of each other point, in point order.
 
     Predicts per-point Doppler at x_cap, the state at the capture time,
     de-aliases and gates; (cx, cy, lever) are the body-frame projection
@@ -92,15 +93,15 @@ def scan_to_factors(scan: RadarScan, x_cap: np.ndarray,
     """
     ext = cfg.radars[scan.radar_id]
     if not scan.points:
-        return np.empty((0, 5))
+        return np.empty((0, 5)), np.empty(0, dtype=object)
     pts = np.array([(p.azimuth, p.elevation, p.doppler, p.snr)
                     for p in scan.points])
     cx, cy, lever = body_projection(ext, bearing_vectors(pts[:, 0],
                                                          pts[:, 1]))
     v_e = expected_doppler(x_cap, cx, cy, lever)
     v_r, _ = dealias(pts[:, 2], v_e, ext.nyquist)
-    accepted = np.equal(gate_points(pts[:, 3], v_e, v_r, cfg), None)
+    reason = gate_points(pts[:, 3], v_e, v_r, cfg)
+    accepted = np.equal(reason, None)
     rows = np.stack((np.full(len(v_r), scan.t_capture), v_r, cx, cy, lever),
                     axis=1)
-    return rows[accepted]
-
+    return rows[accepted], reason[~accepted]

@@ -147,6 +147,16 @@ def _stale_steering(lines):
     return lines[:k] + [lines[at[0.5]]] + lines[k:], lines
 
 
+def _stale_imu(lines):
+    """The IMU sample at t = 0.5 s sent again after the one at t = 2 s:
+    it is both stale and late, and the stale check comes first.  The log
+    as it is."""
+    imu = {json.loads(line)["t"]: k for k, line in enumerate(lines)
+           if json.loads(line)["type"] == "imu"}
+    k = imu[2.0] + 1
+    return lines[:k] + [lines[imu[0.5]]] + lines[k:], lines
+
+
 def _late_steering(lines):
     """A steering sample at t = 1.995 s inside the window, sent right after
     the one at t = 2 s, and the log without it."""
@@ -155,6 +165,15 @@ def _late_steering(lines):
              and json.loads(line)["t"] == 2.0) + 1
     late = '{"type":"steering","t":1.995,"delta":0.05}\n'
     return lines[:k] + [late] + lines[k:], lines
+
+
+def _late_ref_vel(lines):
+    """The reference sample at t = 2 s sent twice in a row, and the log as
+    it is."""
+    k = next(k for k, line in enumerate(lines)
+             if json.loads(line)["type"] == "ref_vel"
+             and json.loads(line)["t"] == 2.0)
+    return lines[:k + 1] + [lines[k]] + lines[k + 1:], lines
 
 
 def _late_scan(lines):
@@ -166,9 +185,12 @@ def _late_scan(lines):
 @pytest.mark.parametrize("mutate, counter", [
     (_late_imu, "late_imu"),
     (_stale_steering, "stale_events"),
+    (_stale_imu, "stale_events"),
     (_late_steering, "late_steering"),
+    (_late_ref_vel, "late_ref_vel"),
     (_late_scan, "late_scans"),
-], ids=["late_imu", "stale_steering", "late_steering", "late_scan"])
+], ids=["late_imu", "stale_steering", "stale_imu", "late_steering",
+        "late_ref_vel", "late_scan"])
 def test_dropped_event_is_counted_and_leaves_the_estimate(tmp_path, mutate,
                                                           counter):
     mutated, reference = mutate(_lines_3s())

@@ -1,7 +1,7 @@
 """Every name a radgrip module imports at module level is used in it,
 every function, class and constant it defines at module level is read by
 the package or the benchmark, and every function parameter is read in its
-function's body.
+function's body.  The estimate path never loads scipy.sparse.
 
 No linter ships with the package, so this reads each module with the
 stdlib ``ast``.  The package ``__init__.py`` re-exports its imports and
@@ -9,6 +9,9 @@ stdlib ``ast``.  The package ``__init__.py`` re-exports its imports and
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,3 +108,17 @@ def _unread_parameters(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_function_parameter_is_read(path):
     assert not _unread_parameters(path)
+
+
+def test_the_estimate_path_never_loads_scipy_sparse():
+    # scipy.sparse and scipy.sparse.linalg cost 3.5 MB of resident memory,
+    # which the benchmark's peak_rss_mb bound counts: a module that needs
+    # them imports them inside the function that uses them
+    code = ("import sys, radgrip.cli, radgrip.simgen; "
+            "print('scipy.sparse' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert out.stdout.strip() == "False"

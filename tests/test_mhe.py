@@ -1,14 +1,20 @@
 import copy
+import dataclasses
 import gc
+import gzip
 import math
+import os
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radgrip import mhe
 from radgrip.core import (ImuSample, RadarPoint, RadarScan, SteeringSample,
-                          WindowOrderError, default_config)
+                          WindowOrderError, default_config, event_time,
+                          parse_event)
 from radgrip.mhe import (Estimator, SlidingWindow, SolveReport,
                          WindowProblem, output_row, replay_events,
                          solve, solve_problem)
@@ -18,6 +24,14 @@ from radgrip.simgen import P_TRUTH_DEFAULT, wrap
 
 CFG = default_config()
 DT = CFG.thresholds.dt
+LOG_3S = os.path.join(os.path.dirname(__file__), "data",
+                      "dlc65_outliers_3s.jsonl.gz")
+
+
+def _events_3s():
+    """The events of the 3 s oracle log, in arrival order."""
+    with gzip.open(LOG_3S, "rt", encoding="utf-8") as fh:
+        return [parse_event(line) for line in fh.read().splitlines()]
 
 
 def _v_e(vx, azimuth, elevation):
@@ -33,7 +47,8 @@ ZERO_U = (0.0, 0.0, 0.0, 0.0)     # U row: no acceleration, yaw or steer
 def _attach(win, scan):
     """Bind a scan's Doppler rows to the window as the estimator does."""
     x = win.ensure_state_at(scan.t_capture, ZERO_U)
-    win.dop = np.concatenate((win.dop, scan_to_factors(scan, x, CFG)))
+    rows, _ = scan_to_factors(scan, x, CFG)
+    win.dop = np.concatenate((win.dop, rows))
 
 
 def _cruise_window(vx=15.0, n=15, with_scans=3):
@@ -335,3 +350,80 @@ def test_nonphysical_load_row_emits_nulls_without_aborting():
         assert row.alpha_f is row.Fyf is row.Fyr is row.beta is None
     for row in after:
         assert None not in (row.alpha_f, row.Fyf, row.Fyr, row.beta)
+
+
+@pytest.mark.parametrize("resumes_first", ["steering", "imu"])
+def test_outage_catch_up_states_hold_the_last_input(resumes_first):
+    # every event in (1.0, 2.5) s is lost; the states the grid catches up
+    # with, and the scan states inserted among them, carry the last IMU
+    # sample before the outage whichever sensor resumes first (at 2.5 s
+    # the steering sample arrives ahead of the IMU one)
+    events = [ev for ev in _events_3s() if not 1.0 < event_time(ev) < 2.5]
+    if resumes_first == "imu":
+        events = [ev for ev in events
+                  if not (isinstance(ev, SteeringSample) and ev.t == 2.5)]
+    last = [ev for ev in events
+            if isinstance(ev, ImuSample) and ev.t <= 1.0][-1]
+    est = Estimator(CFG)
+    for ev in events:
+        if event_time(ev) > 2.55:
+            break
+        est.process_event(ev)
+    w = est.window
+    caught_up = w.t < 2.5 - 1e-9
+    assert np.count_nonzero(~w.grid[caught_up]) > 0
+    assert np.all(w.U[caught_up, :3] == (last.ax, last.ay, last.r))
+
+
+# a 2 s prefix: the standstill preamble, the launch and about 100 solves
+EVENTS_2S = [ev for ev in _events_3s() if event_time(ev) <= 2.0]
+
+
+def _restamp(ev, d):
+    """ev stamped d seconds earlier, all its times moved."""
+    if isinstance(ev, RadarScan):
+        return dataclasses.replace(ev, t_capture=ev.t_capture - d,
+                                   t_receive=ev.t_receive - d)
+    return dataclasses.replace(ev, t=ev.t - d)
+
+
+def _mutate(events, kind, where, amount):
+    i = int(where * len(events))
+    if kind == "duplicate":
+        events.insert(i, events[i])
+    elif kind == "delete":
+        del events[i]
+    elif kind == "move":
+        events.insert(i + round(20 * amount), events.pop(i))
+    elif kind == "restamp":
+        events[i] = _restamp(events[i], 0.5 * amount)
+    else:
+        scans = [k for k, ev in enumerate(events)
+                 if isinstance(ev, RadarScan)]
+        k = scans[int(where * len(scans))]
+        events[k] = dataclasses.replace(events[k], radar_id=7)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["duplicate", "delete", "move", "restamp",
+                     "unknown_radar"]),
+    st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0)),
+    max_size=3))
+def test_mutated_event_stream_is_contained(mutations):
+    # up to 3 duplicated, deleted, delayed, early-stamped or unknown-radar
+    # events: the replay finishes with finite, strictly ordered rows, and
+    # every event is admitted or dropped with a reason, exactly once
+    events = list(EVENTS_2S)
+    for mutation in mutations:
+        _mutate(events, *mutation)
+    est = replay_events(events, CFG)
+    t = np.array([row.t for row in est.rows])
+    assert np.all(np.diff(t) > 0)
+    for name in ("t", "vx", "vy", "r", "bx", "by", "br", "BCD_f", "BCD_r"):
+        assert np.all(np.isfinite([getattr(row, name) for row in est.rows]))
+    c = est.counters
+    admitted = c["imu"] + c["steering"] + c["ref_vel"] + c["scans"]
+    dropped = (c["unknown_radar_scans"] + c["stale_events"] + c["late_imu"]
+               + c["late_steering"] + c["late_ref_vel"] + c["late_scans"])
+    assert admitted + dropped == len(events)

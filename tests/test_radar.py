@@ -97,6 +97,26 @@ def test_dealias_rejects_out_of_band_measurement():
             est.counters["doppler_rejected"]) == (1, 1)
 
 
+def test_rejected_points_are_counted_per_reason():
+    # at rest every point predicts 0 m/s: one passes, one is out of band,
+    # one below snr_min and one beyond dV_r_max of the prediction
+    pts = [RadarPoint(10.0, 0.0, 0.0, 0.0, 25.0),
+           RadarPoint(10.0, 0.0, 0.0, 30.0, 25.0),
+           RadarPoint(10.0, 0.0, 0.0, 0.0, 2.0),
+           RadarPoint(10.0, 0.0, 0.0, 10.0, 25.0)]
+    rows, rejected = scan_to_factors(_scan(pts, 0.0, 0.001), _x(), CFG)
+    assert len(rows) == 1
+    assert rejected.tolist() == [REJECT_ALIAS, REJECT_LOW_SNR,
+                                 REJECT_INNOVATION]
+    est = Estimator(CFG)
+    est.attach(ImuSample(0.0, 0.0, 0.0, 0.0))
+    assert est.attach(_scan(pts, 0.0, 0.001)) is True
+    c = est.counters
+    assert (c["doppler_accepted"], c["doppler_rejected"]) == (1, 3)
+    assert (c["doppler_rejected_alias"], c["doppler_rejected_low_snr"],
+            c["doppler_rejected_innovation"]) == (1, 1, 1)
+
+
 def test_dealias_tie_breaks_to_even():
     # |v_e - v_d| exactly V_N: ratio is 0.5, nint gives 0 (half to even);
     # ratio 1.5 rounds to 2
@@ -160,9 +180,10 @@ def _bind(win, scan):
     """Doppler rows of a scan at the window state at its capture time,
     inserted as the estimator does."""
     t = scan.t_capture
-    return scan_to_factors(
+    rows, _ = scan_to_factors(
         scan, win.ensure_state_at(t, (0.0, 0.0, 0.0, 0.0)),
         CFG)
+    return rows
 
 
 def test_scan_inserts_state_back_in_time():

@@ -9,6 +9,7 @@ estimation failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from radgrip import mhe, simgen
+from radgrip import mhe, simgen, tire
 from radgrip.core import (ConfigError, EstimatorError, IoError, ParseError,
                           RangeError, SchemaError, UsageError, VehicleConfig,
                           config_hash, load_config, parse_event,
@@ -77,6 +78,7 @@ def cmd_sim(scenario: str, config_path: str | None, seed: int,
             "truth": os.path.basename(truth_path),
             "events": len(events),
             "duration_s": float(truth.t[-1]),
+            "p_truth": tire.axles(spec.p_truth).tolist(),
         }
         with open(manifest_path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -324,7 +326,8 @@ def cmd_bench(log_path: str, config_path: str | None,
               repetitions: int) -> dict:
     """Re-run the estimation pipeline, timing every solve.  Raises
     EstimatorError naming the first solve whose final cost differs between
-    repetitions: the estimate must not depend on the clock or the load."""
+    repetitions: the estimate must not depend on the clock or the load.
+    cost_sha256 is the SHA-256 of repr of repetition 0's final costs."""
     if repetitions < 1:
         raise UsageError("repetitions must be >= 1")
     cfg = load_config(config_path)
@@ -342,13 +345,15 @@ def cmd_bench(log_path: str, config_path: str | None,
         "solves_per_rep": len(costs[0]),
         "solve_time": st,
         "per_tick_mean_ms": float(np.mean(tick_means) * 1e3),
+        "cost_sha256": hashlib.sha256(repr(costs[0]).encode()).hexdigest(),
     }
     if st["count"]:
         print(f"{st['count']} solves over {repetitions} reps: "
               f"mean {st['mean_ms']:.3f} ms, p50 {st['p50_ms']:.3f} ms, "
               f"p99 {st['p99_ms']:.3f} ms, max {st['max_ms']:.3f} ms; "
               f"terminations {st['terminations']}")
-    print(f"per-tick mean {out['per_tick_mean_ms']:.3f} ms")
+    print(f"per-tick mean {out['per_tick_mean_ms']:.3f} ms; "
+          f"cost sha256 {out['cost_sha256']}")
     for rep, run in enumerate(costs[1:], start=1):
         if run != costs[0]:
             i = next((i for i, (a, b) in enumerate(zip(costs[0], run))

@@ -198,16 +198,11 @@ class Covariances:
 
 @dataclass
 class ParamBounds:
-    """Box on one axle's [B, C, D, E, Sh, Sv], applied to both axles."""
+    """Box on one axle's [B, C, D, E, Sh, Sv]; it clips both rows of
+    tire.axles(P), the (2, 6) view of the 12-vector, by broadcasting."""
 
     P_min: np.ndarray = _vector(1.0, 0.5, 0.5, -5.0, -0.1, -0.5)
     P_max: np.ndarray = _vector(40.0, 4.0, 4.0, 1.0, 0.1, 0.5)
-
-    def full_min(self) -> np.ndarray:
-        return np.concatenate([self.P_min, self.P_min])
-
-    def full_max(self) -> np.ndarray:
-        return np.concatenate([self.P_max, self.P_max])
 
 
 @dataclass

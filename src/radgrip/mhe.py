@@ -201,8 +201,6 @@ class WindowProblem:
         self.cfg = cfg
         K = self.K = len(window.t)
         self.X_init = window.X
-        self.P_lo = cfg.bounds.full_min()
-        self.P_hi = cfg.bounds.full_max()
         self.P_init = P_init
         self.cauchy = cfg.solver.cauchy_scale
         t, U, dop = window.t, window.U, window.dop
@@ -226,8 +224,7 @@ class WindowProblem:
         fy_idx = self.fy_idx = np.flatnonzero(tire.force_gate(
             window.X[:, 0], window.X[:, 1], u_ax, u_delta, cfg))
         fy_ax, fy_delta = u_ax[fy_idx], u_delta[fy_idx]
-        fy_meas = np.stack(tire.measured_lateral_forces(
-            u_ay[fy_idx], fy_delta, cfg), axis=1)
+        fy_meas = tire.measured_lateral_forces(u_ay[fy_idx], fy_delta, cfg)
         fy_cols = (6 * fy_idx, np.full(len(fy_idx), 6 * K))
 
         dop_idx = np.searchsorted(t, dop[:, 0] - _T_EPS)
@@ -273,7 +270,9 @@ class WindowProblem:
         return np.concatenate([self.X_init.ravel(), self.P_init])
 
     def clamp(self, z: np.ndarray) -> np.ndarray:
-        z[6 * self.K:] = np.clip(z[6 * self.K:], self.P_lo, self.P_hi)
+        b = self.cfg.bounds
+        z[6 * self.K:] = np.clip(tire.axles(z[6 * self.K:]), b.P_min,
+                                 b.P_max).ravel()
         return z
 
     def _split(self, z: np.ndarray):
@@ -430,15 +429,14 @@ def output_row(t: float, x: np.ndarray, u: np.ndarray, P: np.ndarray,
     ax_meas, delta = u[0], u[3]
     alpha_f = alpha_r = fyf = fyr = beta = None
     if tire.force_gate(x[0], x[1], ax_meas, delta, cfg):
-        alpha_f, alpha_r = (float(a) for a in tire.slip_angles(
-            x[0], x[1], x[2], delta, cfg))
-        fyf, fyr = (float(f) for f in tire.model_lateral_forces(
-            x, ax_meas, delta, P, cfg))
+        alpha_f, alpha_r = tire.slip_angles(
+            x[0], x[1], x[2], delta, cfg).tolist()
+        fyf, fyr = tire.model_lateral_forces(
+            x, ax_meas, delta, P, cfg).tolist()
         beta = math.atan(x[1] / x[0])
     return OutputRow(float(t), *(float(v) for v in x),
                      alpha_f, alpha_r, fyf, fyr,
-                     tire.cornering_stiffness(P[:6]),
-                     tire.cornering_stiffness(P[6:]), beta)
+                     *tire.cornering_stiffness(tire.axles(P)).tolist(), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +468,8 @@ class Estimator:
         self.cfg = cfg
         self.window = SlidingWindow(cfg)
         # the one clip of the start vector into the box
-        self.P = np.clip(cfg.initial_params, cfg.bounds.full_min(),
-                         cfg.bounds.full_max())
+        self.P = np.clip(tire.axles(cfg.initial_params), cfg.bounds.P_min,
+                         cfg.bounds.P_max).ravel()
         self.rows: list[OutputRow] = []
         self.reports: list[SolveReport] = []
         self.counters = dict.fromkeys((

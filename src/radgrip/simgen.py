@@ -227,11 +227,9 @@ def simulate_truth(script: ManeuverScript, P_truth: np.ndarray,
     r = np.zeros(n)
     ax = np.zeros(n)
     ay = np.zeros(n)
-    Fyf = np.zeros(n)
-    Fyr = np.zeros(n)
-    af = np.zeros(n)
-    ar = np.zeros(n)
-    pf, pr = P_truth[:6], P_truth[6:]
+    Fy = np.zeros((n, 2))
+    alpha = np.zeros((n, 2))
+    p_axles = tire.axles(P_truth)
 
     vy_k = 0.0
     r_k = 0.0
@@ -243,20 +241,16 @@ def simulate_truth(script: ManeuverScript, P_truth: np.ndarray,
             r_k = 0.0
             ax[i] = dvx[i]
             continue
-        af_k, ar_k = tire.slip_angles(vx_k, vy_k, r_k, d_k, cfg)
+        alpha[i] = tire.slip_angles(vx_k, vy_k, r_k, d_k, cfg)
         ax_k = dvx[i] - r_k * vy_k
-        Fzf, Fzr = tire.vertical_loads(vx_k, ax_k, cfg)
-        Yf = tire.magic_formula_values(tire.force_slip(af_k), pf)
-        Yr = tire.magic_formula_values(tire.force_slip(ar_k), pr)
-        Fyf_k = Fzf * float(Yf)
-        Fyr_k = Fzr * float(Yr)
+        Fy[i] = tire.vertical_loads(vx_k, ax_k, cfg) * \
+            tire.magic_formula_values(tire.force_slip(alpha[i]), p_axles)
+        Fyf_k, Fyr_k = Fy[i].tolist()
         ay_k = (Fyf_k * math.cos(d_k) + Fyr_k) / cfg.m
         vy_dot = ay_k - r_k * vx_k
         r_dot = (cfg.lf * Fyf_k * math.cos(d_k) - cfg.lr * Fyr_k) / cfg.Iz
         vy[i], r[i] = vy_k, r_k
         ax[i], ay[i] = ax_k, ay_k
-        Fyf[i], Fyr[i] = Fyf_k, Fyr_k
-        af[i], ar[i] = af_k, ar_k
         vy_k += vy_dot * DT_SIM
         r_k += r_dot * DT_SIM
         if abs(vy_k) > max(vx_k, _V_FLOOR):
@@ -264,7 +258,7 @@ def simulate_truth(script: ManeuverScript, P_truth: np.ndarray,
                 f"truth diverged at t={t[i]:.3f}s (|vy|={abs(vy_k):.2f} "
                 f"> vx={vx_k:.2f})")
     return TruthTrajectory(t, vx_prof, vy, r, ax, ay, delta_prof,
-                           Fyf, Fyr, af, ar)
+                           *Fy.T, *alpha.T)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +455,6 @@ def make_scenario(name: str, cfg: VehicleConfig,
     """Build one of the PRESETS; raises KeyError for unknown names."""
     segments, grip, noise = PRESETS[name]
     p = P_TRUTH_DEFAULT.copy()
-    p[[2, 8]] *= grip
+    tire.axles(p)[:, 2] *= grip
     return ScenarioSpec(ManeuverScript(name, 0.0, segments(cfg)), p,
                         NoiseConfig(seed=seed, **noise))

@@ -2,9 +2,13 @@
 aero downforce, the Pacejka lateral curve, the inertial force split and
 the whitened lateral-force factor with its partials.
 
-The curve output is normalized (force per unit vertical load), so axle
-forces are vertical load times curve value.  Every function here works on
-arrays (one entry per state) and is shared with the truth simulator.
+Every function works on arrays (one entry per state), is shared with the
+truth simulator, and gives each per-axle quantity a trailing axle axis,
+front then rear: the rear uses the front's formula with lever arm -lr and
+road-wheel angle 0.  axles(P) is the (2, 6) view of the 12 tire
+parameters, one [B, C, D, E, Sh, Sv] row per axle; no other module knows
+that layout.  The curve output is normalized (force per unit vertical
+load), so axle forces are vertical load times curve value.
 """
 
 from __future__ import annotations
@@ -16,22 +20,32 @@ from radgrip.core import VehicleConfig
 # the inertial split divides by cos(delta); lateral-force rows and outputs
 # are gated far before it vanishes, beyond any physical steering range
 COS_DELTA_MIN = 0.2
+# road-wheel angle per axle, as a multiple of delta
+_STEERED = (1.0, 0.0)
+
+
+def axles(P: np.ndarray) -> np.ndarray:
+    """The 12-vector P as a (2, 6) view: row a is axle a's
+    [B, C, D, E, Sh, Sv], front first."""
+    return P.reshape(2, 6)
 
 
 def slip_angles(vx, vy, r, delta, cfg: VehicleConfig):
-    """Front/rear axle slip angles (no speed gate; see force_gate)."""
-    alpha_f = np.arctan((vy + r * cfg.lf) / vx) - delta
-    alpha_r = np.arctan((vy - r * cfg.lr) / vx)
-    return alpha_f, alpha_r
+    """Axle slip angles, shape (..., 2) (no speed gate; see force_gate):
+    the heading of the contact point's velocity (vx, vy + r l), with lever
+    arm l = (lf, -lr), less the axle's road-wheel angle."""
+    q = ((np.asarray(vy)[..., None] + np.multiply.outer(r, (cfg.lf, -cfg.lr)))
+         / np.asarray(vx)[..., None])
+    return np.arctan(q) - np.multiply.outer(delta, _STEERED)
 
 
 def vertical_loads(vx, ax_meas, cfg: VehicleConfig):
-    """Static load, longitudinal transfer and downforce per axle."""
+    """Static load, longitudinal transfer and downforce, shape (..., 2)."""
     wb = cfg.lf + cfg.lr
-    q = 0.5 * cfg.rho * cfg.A * vx * vx
-    Fzf = cfg.m / wb * (cfg.g * cfg.lr - ax_meas * cfg.hg) + cfg.Czf * q
-    Fzr = cfg.m / wb * (cfg.g * cfg.lf + ax_meas * cfg.hg) + cfg.Czr * q
-    return Fzf, Fzr
+    q = np.asarray(0.5 * cfg.rho * cfg.A * vx * vx)[..., None]
+    return (cfg.m / wb * ((cfg.g * cfg.lr, cfg.g * cfg.lf)
+                          + np.multiply.outer(ax_meas * cfg.hg, (-1.0, 1.0)))
+            + q * (cfg.Czf, cfg.Czr))
 
 
 def force_gate(vx, vy, ax_meas, delta, cfg: VehicleConfig):
@@ -41,17 +55,17 @@ def force_gate(vx, vy, ax_meas, delta, cfg: VehicleConfig):
     positive (the model force Fz*Y and its partials change sign at
     Fz <= 0)."""
     v_min = cfg.thresholds.V_Fy_min
-    Fzf, Fzr = vertical_loads(vx, ax_meas, cfg)
     return ((np.hypot(vx, vy) > v_min) & (np.abs(vx) >= v_min)
-            & (np.cos(delta) > COS_DELTA_MIN) & (Fzf > 0.0) & (Fzr > 0.0))
+            & (np.cos(delta) > COS_DELTA_MIN)
+            & (vertical_loads(vx, ax_meas, cfg).min(-1) > 0.0))
 
 
 def magic_formula_values(slip, p6):
     """Normalized lateral force Y(slip) = y(slip + Sh) + Sv with
     y(s) = D sin(C atan(B s - E (B s - atan(B s)))); p6 is
-    [B, C, D, E, Sh, Sv].  Cheaper than magic_formula_derivs."""
-    slip = np.asarray(slip, dtype=float)
-    B, C, D, E, Sh, Sv = (float(v) for v in p6)
+    [B, C, D, E, Sh, Sv], or one such row per axle, broadcast against a
+    trailing axle axis of slip.  Cheaper than magic_formula_derivs."""
+    B, C, D, E, Sh, Sv = np.asarray(p6, dtype=float).T
     u1 = B * (slip + Sh)
     inner = u1 - E * (u1 - np.arctan(u1))
     return D * np.sin(C * np.arctan(inner)) + Sv
@@ -60,11 +74,10 @@ def magic_formula_values(slip, p6):
 def magic_formula_derivs(slip, p6):
     """Curve value plus derivatives w.r.t. slip and the 6 parameters.
 
-    slip may be an array; p6 is [B, C, D, E, Sh, Sv].  Returns
-    (Y, dY_dslip, dY_dp) with dY_dp of shape slip.shape + (6,).
+    slip and p6 are as for magic_formula_values.  Returns
+    (Y, dY_dslip, dY_dp) with dY_dp of shape Y.shape + (6,).
     """
-    slip = np.asarray(slip, dtype=float)
-    B, C, D, E, Sh, Sv = (float(v) for v in p6)
+    B, C, D, E, Sh, Sv = np.asarray(p6, dtype=float).T
     s = slip + Sh
     u1 = B * s
     at_u1 = np.arctan(u1)
@@ -77,13 +90,13 @@ def magic_formula_derivs(slip, p6):
     common = D * cos_phi * C * d_at_in
     Y = D * sin_phi + Sv
     dY_dslip = common * B * d_inner_du1
-    dY_dp = np.empty(slip.shape + (6,))
+    dY_dp = np.empty(Y.shape + (6,))
     dY_dp[..., 0] = common * s * d_inner_du1          # dB
     dY_dp[..., 1] = D * cos_phi * at_in               # dC
     dY_dp[..., 2] = sin_phi                           # dD
     dY_dp[..., 3] = common * (-(u1 - at_u1))          # dE
     dY_dp[..., 4] = dY_dslip                          # dSh
-    dY_dp[..., 5] = np.ones_like(slip)                # dSv
+    dY_dp[..., 5] = 1.0                               # dSv
     return Y, dY_dslip, dY_dp
 
 
@@ -99,21 +112,22 @@ def force_slip(alpha):
 
 
 def model_lateral_forces(X, ax_meas, delta, P, cfg: VehicleConfig):
-    """Axle lateral forces (Fyf, Fyr) from the tire curve at state rows X
-    (..., 6); P holds the 12 parameters, front axle first."""
+    """Axle lateral forces, shape (..., 2), from the tire curve at state
+    rows X (..., 6) and the 12-vector P."""
     vx = X[..., 0]
-    af, ar = slip_angles(vx, X[..., 1], X[..., 2], delta, cfg)
-    Fzf, Fzr = vertical_loads(vx, ax_meas, cfg)
-    return (Fzf * magic_formula_values(force_slip(af), P[:6]),
-            Fzr * magic_formula_values(force_slip(ar), P[6:]))
+    alpha = slip_angles(vx, X[..., 1], X[..., 2], delta, cfg)
+    return vertical_loads(vx, ax_meas, cfg) * magic_formula_values(
+        force_slip(alpha), axles(P))
 
 
 def measured_lateral_forces(ay_meas, delta, cfg: VehicleConfig):
-    """Static-split inertial axle forces (Fyf, Fyr) from lateral
-    acceleration."""
+    """Static-split inertial axle forces, shape (..., 2), from lateral
+    acceleration: m ay split in the ratio lr : lf, the front's along its
+    road wheel."""
     wb = cfg.lf + cfg.lr
-    return ((cfg.lr / wb) * cfg.m * ay_meas / np.cos(delta),
-            (cfg.lf / wb) * cfg.m * ay_meas)
+    share = (cfg.lr / wb * cfg.m, cfg.lf / wb * cfg.m)
+    return (np.multiply.outer(ay_meas, share)
+            / np.cos(np.multiply.outer(delta, _STEERED)))
 
 
 def lateral_force_residual(X, ax_meas, delta, fy_meas, P, w,
@@ -121,42 +135,34 @@ def lateral_force_residual(X, ax_meas, delta, fy_meas, P, w,
     """Whitened (measured - model) axle forces, shape (n, 2), at state rows
     X (n, 6); fy_meas (n, 2) from measured_lateral_forces, w the two
     inverse standard deviations."""
-    Fyf, Fyr = model_lateral_forces(X, ax_meas, delta, P, cfg)
-    return (fy_meas - np.stack([Fyf, Fyr], axis=1)) * w
+    return (fy_meas - model_lateral_forces(X, ax_meas, delta, P, cfg)) * w
 
 
 def lateral_force_jacobian(X, ax_meas, delta, P, w, cfg: VehicleConfig):
     """Partials of lateral_force_residual: d/d[vx, vy, r] of shape
-    (n, 2, 3) and d/dP of shape (n, 2, 12)."""
+    (n, 2, 3) and d/dP of shape (n, 2, 12), whose axle rows are the block
+    diagonal of the per-axle curve partials."""
     vx, vy, r = X[:, 0], X[:, 1], X[:, 2]
-    af, ar = slip_angles(vx, vy, r, delta, cfg)
-    Fzf, Fzr = vertical_loads(vx, ax_meas, cfg)
-    Yf, dYf_ds, dYf_dp = magic_formula_derivs(force_slip(af), P[:6])
-    Yr, dYr_ds, dYr_dp = magic_formula_derivs(force_slip(ar), P[6:])
-    qf = (vy + r * cfg.lf) / vx
-    qr = (vy - r * cfg.lr) / vx
-    gf = 1.0 / (1.0 + qf * qf)
-    gr = 1.0 / (1.0 + qr * qr)
+    lever = (cfg.lf, -cfg.lr)
+    Fz = vertical_loads(vx, ax_meas, cfg)
+    Y, dY_ds, dY_dp = magic_formula_derivs(
+        force_slip(slip_angles(vx, vy, r, delta, cfg)), axles(P))
+    vx = vx[:, None]
+    q = (vy[:, None] + np.multiply.outer(r, lever)) / vx
+    g = 1.0 / (1.0 + q * q)
     # chain rule through force_slip: d(-alpha)/d(state)
-    daf_dvx, daf_dvy, daf_dr = gf * qf / vx, -gf / vx, -gf * cfg.lf / vx
-    dar_dvx, dar_dvy, dar_dr = gr * qr / vx, -gr / vx, gr * cfg.lr / vx
-    dFz_dvx_f = cfg.Czf * cfg.rho * cfg.A * vx
-    dFz_dvx_r = cfg.Czr * cfg.rho * cfg.A * vx
-    wf, wr = w[0], w[1]
-    dX = np.empty((len(vx), 2, 3))
-    dX[:, 0, 0] = -wf * (dFz_dvx_f * Yf + Fzf * dYf_ds * daf_dvx)
-    dX[:, 0, 1] = -wf * Fzf * dYf_ds * daf_dvy
-    dX[:, 0, 2] = -wf * Fzf * dYf_ds * daf_dr
-    dX[:, 1, 0] = -wr * (dFz_dvx_r * Yr + Fzr * dYr_ds * dar_dvx)
-    dX[:, 1, 1] = -wr * Fzr * dYr_ds * dar_dvy
-    dX[:, 1, 2] = -wr * Fzr * dYr_ds * dar_dr
-    dP = np.zeros((len(vx), 2, 12))
-    dP[:, 0, :6] = -wf * Fzf[:, None] * dYf_dp
-    dP[:, 1, 6:] = -wr * Fzr[:, None] * dYr_dp
-    return dX, dP
+    ds_dvx, ds_dvy, ds_dr = g * q / vx, -g / vx, -g * lever / vx
+    dFz_dvx = vx * (cfg.Czf * cfg.rho * cfg.A, cfg.Czr * cfg.rho * cfg.A)
+    dX = np.empty(Y.shape + (3,))
+    dX[..., 0] = -w * (dFz_dvx * Y + Fz * dY_ds * ds_dvx)
+    dX[..., 1] = -w * Fz * dY_ds * ds_dvy
+    dX[..., 2] = -w * Fz * dY_ds * ds_dr
+    dP = np.zeros(Y.shape + (2, 6))
+    dP[:, (0, 1), (0, 1)] = (-w * Fz)[..., None] * dY_dp
+    return dX, dP.reshape(len(Y), 2, 12)
 
 
-def cornering_stiffness(p: np.ndarray) -> float:
-    """Slope of the normalized lateral curve at zero effective slip, for
-    one axle's p = [B, C, D, E, Sh, Sv]."""
-    return float(p[0] * p[1] * p[2])
+def cornering_stiffness(p: np.ndarray):
+    """Slope BCD of the normalized lateral curve at zero effective slip,
+    for p of shape (..., 6), each row [B, C, D, E, Sh, Sv]."""
+    return p[..., 0] * p[..., 1] * p[..., 2]

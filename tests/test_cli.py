@@ -1,12 +1,13 @@
 import gzip
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from radgrip import cli, mhe
-from radgrip.core import ImuSample, serialize_event
+from radgrip import cli, mhe, simgen
+from radgrip.core import ImuSample, default_config, serialize_event
 
 LOG_3S = os.path.join(os.path.dirname(__file__), "data",
                       "dlc65_outliers_3s.jsonl.gz")
@@ -23,6 +24,9 @@ def test_sim_estimate_metrics_round_trip(tmp_path):
     assert manifest["truth"] == os.path.basename(truth)
     with open(log) as fh:
         assert sum(1 for _ in fh) == manifest["events"]
+    spec = simgen.make_scenario("standstill", default_config(), seed=0)
+    assert manifest["p_truth"] == [spec.p_truth[:6].tolist(),
+                                   spec.p_truth[6:].tolist()]
 
     est_csv = os.path.join(out, "est.csv")
     assert cli.main(["estimate", log, "--out", est_csv]) == 0
@@ -197,6 +201,19 @@ def test_dropped_event_is_counted_and_leaves_the_estimate(tmp_path, mutate,
     csv, counters = _estimate(tmp_path, "mutated", mutated)
     assert counters[counter] == 1
     assert csv == _estimate(tmp_path, "reference", reference)[0]
+
+
+def test_bench_cost_digest_is_that_of_the_estimate(tmp_path, capsys):
+    log = os.path.join(str(tmp_path), "log.jsonl")
+    with open(log, "w", encoding="utf-8") as fh:
+        fh.writelines(_lines_3s())
+    first = cli.cmd_bench(log, None, 1)["cost_sha256"]
+    assert cli.cmd_bench(log, None, 1)["cost_sha256"] == first
+    assert f"cost sha256 {first}" in capsys.readouterr().out
+    est = cli.cmd_estimate(log, None, os.path.join(str(tmp_path), "e.csv"),
+                           quiet=True)
+    costs = repr([r.final_cost for r in est.reports])
+    assert hashlib.sha256(costs.encode()).hexdigest() == first
 
 
 def test_bench_exits_3_naming_the_first_differing_solve(tmp_path,

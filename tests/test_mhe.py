@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radgrip import mhe
+from radgrip import mhe, tire
 from radgrip.core import (ImuSample, RadarPoint, RadarScan, SteeringSample,
                           WindowOrderError, default_config, event_time,
                           parse_event)
@@ -156,8 +156,8 @@ def test_solve_clamps_params_into_box():
     crazy[0] = 500.0   # B outside the box
     crazy[3] = -20.0   # E outside the box
     P_new, _ = solve(win, crazy, CFG)
-    assert np.all(P_new >= CFG.bounds.full_min() - 1e-12)
-    assert np.all(P_new <= CFG.bounds.full_max() + 1e-12)
+    assert np.all(tire.axles(P_new) >= CFG.bounds.P_min - 1e-12)
+    assert np.all(tire.axles(P_new) <= CFG.bounds.P_max + 1e-12)
 
 
 def test_shift_span_arithmetic():

@@ -61,6 +61,42 @@ def test_expected_doppler_rotated_radar():
     assert v == pytest.approx(0.0, abs=1e-12)
 
 
+def _yaw_matrices(yaw):
+    """Rotations about z by each angle of yaw, shape yaw.shape + (3, 3)."""
+    c, s = np.cos(yaw), np.sin(yaw)
+    zero, one = np.zeros_like(yaw), np.ones_like(yaw)
+    return np.stack([np.stack([c, -s, zero], -1), np.stack([s, c, zero], -1),
+                     np.stack([zero, zero, one], -1)], -2)
+
+
+def test_expected_doppler_matches_world_frame_radar_velocity():
+    # first principles in the world frame, sharing no code with radar: a
+    # radar at p moves at V + r z x R(psi) p, and a static target on
+    # bearing b measures minus that velocity along R(psi) R_mount b
+    rng = np.random.default_rng(21)
+    yawed = type(CFG.radars[0])(_yaw_matrices(rng.uniform(-math.pi, math.pi)),
+                                rng.uniform(-2.0, 2.0, 3), 26.5)
+    n = 200
+    for ext in [*CFG.radars, yawed]:
+        vx, vy = rng.uniform(-70.0, 70.0, n), rng.uniform(-5.0, 5.0, n)
+        r = rng.uniform(-1.5, 1.5, n)
+        R = _yaw_matrices(rng.uniform(-math.pi, math.pi, n))
+        az = rng.uniform(-math.pi, math.pi, n)
+        el = rng.uniform(-0.5, 0.5, n)
+        b = np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az),
+                      np.sin(el)], axis=1)
+        V = R @ np.stack([vx, vy, np.zeros(n)], axis=1)[..., None]
+        p = R @ ext.translation
+        v_radar = V[..., 0] + r[:, None] * np.stack(
+            [-p[:, 1], p[:, 0], np.zeros(n)], axis=1)
+        b_world = (R @ ext.rotation @ b[..., None])[..., 0]
+        expected = -np.sum(b_world * v_radar, axis=1)
+        X = np.column_stack([vx, vy, r, np.zeros((n, 3))])
+        np.testing.assert_allclose(
+            expected_doppler(X, *body_projection(ext, b)), expected,
+            rtol=0.0, atol=1e-12)
+
+
 def test_dealias_in_band():
     v_r, n = dealias([10.0], [10.0], 26.5)
     assert (v_r.tolist(), n.tolist()) == ([10.0], [0])

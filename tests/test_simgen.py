@@ -3,7 +3,9 @@
 The benchmark caches generated logs keyed only by its generator version,
 so a simgen change that alters a log must fail here first.  Every preset
 is pinned by the digest of its seed-0 log serialized as ``radgrip sim``
-writes it, one JSONL line per event; ``brake_turn`` is the preset with
+writes it, one JSONL line per event, and by the digest of its truth CSV as
+``cli.write_truth_csv`` writes it: the per-axle slip angles and forces that
+``metrics`` scores appear in no log.  ``brake_turn`` is the preset with
 scaled tire grip.
 """
 
@@ -11,8 +13,8 @@ import hashlib
 
 import pytest
 
-from radgrip import simgen
-from radgrip.core import default_config, serialize_event
+from radgrip import cli, simgen, tire
+from radgrip.core import TruthDivergenceError, default_config, serialize_event
 
 
 SEED0_SHA256 = {
@@ -32,9 +34,27 @@ SEED0_SHA256 = {
         "4a1a3cf883c4f4c49813fe1eda71c8e05d04bc1425cb47dd15c1ffa1290a2503",
 }
 
+SEED0_TRUTH_SHA256 = {
+    "standstill":
+        "9f9494604e88897710aeb5cc27744878311d5b68f5b853d24110d0f5ae9acc8f",
+    "dlc65":
+        "0584dc53194aa27dc762a8cfa26955fbeff488bc8920c001c3768512a13c3385",
+    "dlc65_outliers":
+        "0584dc53194aa27dc762a8cfa26955fbeff488bc8920c001c3768512a13c3385",
+    "const_radius":
+        "19bd86f3662e8dac94ef7d820a74aba77d5f842a30b313a33b327efc222d398e",
+    "slalom":
+        "b7cb965d610df3b51837ae70e35514e0814116bf98a46b4dff5a8b8ce3c5a754",
+    "brake_turn":
+        "301fe9586093e6c08cfc4d8ec56da4abce929adfcf074bf0cad18ff4858ee647",
+    "fitlap":
+        "f7c8705a1d2049aea03eecc7e4f873366987a99b8be183023264016eacf1fcbc",
+}
+
 
 def test_every_preset_is_pinned():
     assert set(SEED0_SHA256) == set(simgen.PRESETS)
+    assert set(SEED0_TRUTH_SHA256) == set(simgen.PRESETS)
 
 
 @pytest.mark.parametrize("preset", SEED0_SHA256)
@@ -45,3 +65,29 @@ def test_seed0_log_is_pinned(preset):
                                     cfg)
     log = "".join(serialize_event(ev) + "\n" for ev in events)
     assert hashlib.sha256(log.encode()).hexdigest() == SEED0_SHA256[preset]
+
+
+@pytest.mark.parametrize("preset", SEED0_TRUTH_SHA256)
+def test_seed0_truth_is_pinned(preset, tmp_path):
+    cfg = default_config()
+    spec = simgen.make_scenario(preset, cfg, seed=0)
+    truth = simgen.simulate_truth(spec.script, spec.p_truth, cfg)
+    path = tmp_path / "truth.csv"
+    cli.write_truth_csv(str(path), truth, cfg.thresholds.dt)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() \
+        == SEED0_TRUTH_SHA256[preset]
+
+
+def test_truth_divergence_is_raised_naming_the_time():
+    # with rear grip at 0.3 of the front's, a 0.05 rad steer at 40 m/s
+    # spins the car: |vy| passes vx (40.02 > 40.00 m/s) at t = 2.857 s.
+    # Scaling D by 0.3 on both axles instead keeps the balance: even a
+    # 0.35 rad steer then stays at |vy| <= 3.4 m/s, so a grip-change
+    # scenario that scales both axles does not trip this guard.
+    cfg = default_config()
+    p = simgen.P_TRUTH_DEFAULT.copy()
+    tire.axles(p)[1, 2] *= 0.3
+    script = simgen.ManeuverScript("spin", 0.0, [
+        simgen.Segment(2.0, 40.0, 0.0), simgen.Segment(3.0, None, 0.05)])
+    with pytest.raises(TruthDivergenceError, match=r"t=2\.857s"):
+        simgen.simulate_truth(script, p, cfg)

@@ -37,15 +37,14 @@ def _newest_row(win, P, cfg):
 
 def _residual(x, ay, P, cfg, ax=0.0, delta=0.0):
     """Whitened lateral-force residual of one state row."""
-    fy = np.stack(measured_lateral_forces(np.array([ay]), np.array([delta]),
-                                          cfg), axis=1)
+    fy = measured_lateral_forces(np.array([ay]), np.array([delta]), cfg)
     return lateral_force_residual(
         x[None], np.array([ax]), np.array([delta]), fy, P,
         1.0 / np.sqrt(cfg.covariances.Sigma_Fy), cfg)[0]
 
 
 def test_slip_angles_straight():
-    assert slip_angles(50.0, 0.0, 0.0, 0.0, CFG) == (0.0, 0.0)
+    assert slip_angles(50.0, 0.0, 0.0, 0.0, CFG).tolist() == [0.0, 0.0]
 
 
 def test_slip_angle_front_oracle():
@@ -56,8 +55,30 @@ def test_slip_angle_front_oracle():
 def test_slip_angle_rear_oracle():
     cfg = default_config()
     cfg.lr = 1.5
-    _, ar = slip_angles(np.array([10.0, 10.0]), 1.0, 0.5, 0.0, cfg)
+    _, ar = slip_angles(np.array([10.0, 10.0]), 1.0, 0.5, 0.0, cfg).T
     assert ar == pytest.approx(0.024994793618920157, abs=1e-12)
+
+
+def test_slip_angles_match_world_frame_contact_velocities():
+    # first principles in the world frame, sharing no code with tire: the
+    # contact point of the axle at lever arm l moves at V + r z x R(psi)
+    # (l, 0), and its slip angle is that velocity's heading less the
+    # wheel's, psi + delta (delta on the front axle, 0 on the rear)
+    rng = np.random.default_rng(20)
+    n = 200
+    vx, vy = rng.uniform(5.0, 70.0, n), rng.uniform(-5.0, 5.0, n)
+    r, delta = rng.uniform(-1.5, 1.5, n), rng.uniform(-0.4, 0.4, n)
+    psi = rng.uniform(-math.pi, math.pi, n)
+    c, s = np.cos(psi), np.sin(psi)
+    alpha = slip_angles(vx, vy, r, delta, CFG)
+    for axle, lever, steer in ((0, CFG.lf, delta), (1, -CFG.lr, 0.0)):
+        px, py = c * lever, s * lever
+        wx = c * vx - s * vy - r * py
+        wy = s * vx + c * vy + r * px
+        heading = np.arctan2(wy, wx) - (psi + steer)
+        expected = np.angle(np.exp(1j * heading))
+        np.testing.assert_allclose(alpha[:, axle], expected,
+                                   rtol=0.0, atol=1e-12)
 
 
 def test_slip_angles_gate():
@@ -83,7 +104,7 @@ def test_vertical_load_brake_transfer():
 def test_vertical_load_sum_conserved():
     rng = np.random.default_rng(1)
     vx, ax = rng.uniform(0, 70, 50), rng.uniform(-20, 10, 50)
-    Fzf, Fzr = vertical_loads(vx, ax, EX)
+    Fzf, Fzr = vertical_loads(vx, ax, EX).T
     aero = 0.5 * (EX.Czf + EX.Czr) * EX.rho * vx * vx * EX.A
     assert np.allclose(Fzf + Fzr - EX.m * EX.g - aero, 0.0, atol=1e-8)
 
@@ -191,14 +212,14 @@ def test_model_forces_scale_with_load():
     doubled.m = 2 * CFG.m
     doubled.Czf = 2 * CFG.Czf
     doubled.Czr = 2 * CFG.Czr
-    f1 = model_lateral_forces(X, 0.0, 0.0, P, CFG)
-    f2 = model_lateral_forces(X, 0.0, 0.0, P, doubled)
+    f1 = model_lateral_forces(X, 0.0, 0.0, P, CFG).T
+    f2 = model_lateral_forces(X, 0.0, 0.0, P, doubled).T
     assert f2[0] == pytest.approx(2 * f1[0])
     assert f2[1] == pytest.approx(2 * f1[1])
 
 
 def test_measured_forces_zero_ay():
-    assert measured_lateral_forces(0.0, 0.0, EX) == (0.0, 0.0)
+    assert measured_lateral_forces(0.0, 0.0, EX).tolist() == [0.0, 0.0]
 
 
 def test_measured_forces_static_split():

@@ -16,7 +16,6 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
-from operator import attrgetter
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from radgrip.core import (ConfigError, EstimatorError, IoError, ParseError,
                           serialize_event)
 
 # the output CSVs hold the fields of their records, in order
-ESTIMATE_CSV_COLUMNS = tuple(f.name for f in fields(mhe.OutputRow))
+ESTIMATE_CSV_COLUMNS = mhe.OutputRow._fields
 TRUTH_CSV_COLUMNS = tuple(f.name for f in fields(simgen.TruthTrajectory))
 
 
@@ -37,12 +36,16 @@ def _fmt(v) -> str:
     return f"{v:.10g}"
 
 
+def _csv_lines(columns: tuple, rows):
+    """A header line of ``columns``, then one line per row of values."""
+    yield ",".join(columns) + "\n"
+    for row in rows:
+        yield ",".join(_fmt(v) for v in row) + "\n"
+
+
 def _write_csv(path: str, columns: tuple, rows) -> None:
-    """Write a header of ``columns``, then one line per row of values."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(_csv_lines(columns, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +150,7 @@ def cmd_estimate(log_path: str, config_path: str | None, out_csv: str,
     cfg = load_config(config_path)
     est = mhe.replay_events(read_events(log_path), cfg)
     try:
-        _write_csv(out_csv, ESTIMATE_CSV_COLUMNS,
-                   map(attrgetter(*ESTIMATE_CSV_COLUMNS), est.rows))
+        _write_csv(out_csv, ESTIMATE_CSV_COLUMNS, est.rows)
         summary = {
             "log": os.path.basename(log_path),
             "config_sha256": config_hash(cfg),
@@ -271,6 +273,14 @@ def compute_metrics(est_csv: str, truth_csv: str,
         if not isinstance(summary, dict):
             raise SchemaError(f"{summary_path}: not a JSON object")
         solve_time = summary.get("solve_time")
+        if solve_time is not None and not (
+                isinstance(solve_time, dict)
+                and (not solve_time.get("count")
+                     or all(type(solve_time.get(k)) in (int, float)
+                            for k in ("mean_ms", "p99_ms", "max_ms")))):
+            raise SchemaError(f"{summary_path}: solve_time is neither null "
+                              f"nor an object with numeric mean_ms, p99_ms "
+                              f"and max_ms")
     return MetricsReport(channels, conv, solve_time)
 
 
@@ -327,7 +337,8 @@ def cmd_bench(log_path: str, config_path: str | None,
     """Re-run the estimation pipeline, timing every solve.  Raises
     EstimatorError naming the first solve whose final cost differs between
     repetitions: the estimate must not depend on the clock or the load.
-    cost_sha256 is the SHA-256 of repr of repetition 0's final costs."""
+    cost_sha256 is the SHA-256 of repr of repetition 0's final costs, and
+    rows_sha256 that of its estimate CSV as cmd_estimate writes it."""
     if repetitions < 1:
         raise UsageError("repetitions must be >= 1")
     cfg = load_config(config_path)
@@ -338,6 +349,8 @@ def cmd_bench(log_path: str, config_path: str | None,
         est = mhe.replay_events(events, cfg)
         tick_means.append((time.perf_counter() - t0) / max(len(est.rows), 1))
         reports.extend(est.reports)
+        if not costs:
+            csv = "".join(_csv_lines(ESTIMATE_CSV_COLUMNS, est.rows))
         costs.append([r.final_cost for r in est.reports])
     st = solve_time_stats(reports)
     out = {
@@ -346,6 +359,7 @@ def cmd_bench(log_path: str, config_path: str | None,
         "solve_time": st,
         "per_tick_mean_ms": float(np.mean(tick_means) * 1e3),
         "cost_sha256": hashlib.sha256(repr(costs[0]).encode()).hexdigest(),
+        "rows_sha256": hashlib.sha256(csv.encode()).hexdigest(),
     }
     if st["count"]:
         print(f"{st['count']} solves over {repetitions} reps: "
@@ -353,7 +367,8 @@ def cmd_bench(log_path: str, config_path: str | None,
               f"p99 {st['p99_ms']:.3f} ms, max {st['max_ms']:.3f} ms; "
               f"terminations {st['terminations']}")
     print(f"per-tick mean {out['per_tick_mean_ms']:.3f} ms; "
-          f"cost sha256 {out['cost_sha256']}")
+          f"cost sha256 {out['cost_sha256']}; "
+          f"rows sha256 {out['rows_sha256']}")
     for rep, run in enumerate(costs[1:], start=1):
         if run != costs[0]:
             i = next((i for i, (a, b) in enumerate(zip(costs[0], run))

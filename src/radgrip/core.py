@@ -278,9 +278,8 @@ def load_config(path: str | None) -> VehicleConfig:
     reads 1e-9 as a string, so write 1.0e-9.  ``path=None`` returns the
     defaults.
     """
-    cfg = VehicleConfig()
     if path is None:
-        return validate_config(cfg)
+        return default_config()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -288,22 +287,8 @@ def load_config(path: str | None) -> VehicleConfig:
         raise IoError(f"cannot read config file {path!r}: {e}") from e
     except yaml.YAMLError as e:
         raise ConfigError(f"invalid YAML in {path!r}: {e}") from e
-    return validate_config(apply_config_dict(cfg, {} if raw is None else raw))
-
-
-def apply_config_dict(cfg, raw, path: str = ""):
-    """Overlay a parsed config mapping onto the dataclass ``cfg`` in place
-    and return it.  Every key must name a field; a dataclass field takes a
-    mapping, overlaid recursively, and any other value is converted to the
-    field's annotated type.  ConfigError names the dotted path of a bad
-    key or value (``path`` prefixes it)."""
-    for key, val, typ, name in _entries(type(cfg), raw, path):
-        current = getattr(cfg, key)
-        if is_dataclass(current):
-            apply_config_dict(current, val, name)
-        else:
-            setattr(cfg, key, _convert(val, typ, name))
-    return cfg
+    return validate_config(_build(VehicleConfig, {} if raw is None else raw,
+                                  ""))
 
 
 def _entries(cls, raw, path: str):
@@ -322,8 +307,11 @@ def _entries(cls, raw, path: str):
 
 
 def _convert(val, typ, name: str):
-    """``val`` as a value of the field type ``typ``: an int must be
-    integral, and numbers and arrays are never strings or bools."""
+    """``val`` as a value of the field type ``typ``: a dataclass is built
+    from a mapping, an int must be integral, and numbers and arrays are
+    never strings or bools."""
+    if is_dataclass(typ):
+        return _build(typ, val, name)
     if get_origin(typ) is list:
         if not isinstance(val, list):
             raise ConfigError(f"{name}: expected a list, got {val!r}")
@@ -348,7 +336,9 @@ def _convert(val, typ, name: str):
 
 def _build(cls, raw, path: str):
     """A new ``cls`` from a mapping that gives every field lacking a
-    default."""
+    default; the other fields keep their defaults.  Every key must name a
+    field, and ConfigError names the dotted path of a bad key or value
+    (``path`` prefixes it)."""
     values = {key: _convert(val, typ, name)
               for key, val, typ, name in _entries(cls, raw, path)}
     for f in fields(cls):

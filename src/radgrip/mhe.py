@@ -403,40 +403,30 @@ def solve(window: SlidingWindow, P_current: np.ndarray,
 # Outputs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OutputRow:
-    t: float
-    vx: float
-    vy: float
-    r: float
-    bx: float
-    by: float
-    br: float
-    alpha_f: float | None
-    alpha_r: float | None
-    Fyf: float | None
-    Fyr: float | None
-    BCD_f: float
-    BCD_r: float
-    beta: float | None
+# one row per grid state; its fields are the estimate CSV header
+OutputRow = namedtuple("OutputRow", (
+    "t", "vx", "vy", "r", "bx", "by", "br", "alpha_f", "alpha_r", "Fyf",
+    "Fyr", "BCD_f", "BCD_r", "beta"))
 
 
-def output_row(t: float, x: np.ndarray, u: np.ndarray, P: np.ndarray,
-               cfg: VehicleConfig) -> OutputRow:
-    """Output row of state x at time t with U row u = [ax, ay, r, delta].
-    Slip, force and side-slip fields are None outside the lateral-force
-    gate and at a nonphysical (non-positive) vertical load."""
-    ax_meas, delta = u[0], u[3]
-    alpha_f = alpha_r = fyf = fyr = beta = None
-    if tire.force_gate(x[0], x[1], ax_meas, delta, cfg):
-        alpha_f, alpha_r = tire.slip_angles(
-            x[0], x[1], x[2], delta, cfg).tolist()
-        fyf, fyr = tire.model_lateral_forces(
-            x, ax_meas, delta, P, cfg).tolist()
-        beta = math.atan(x[1] / x[0])
-    return OutputRow(float(t), *(float(v) for v in x),
-                     alpha_f, alpha_r, fyf, fyr,
-                     *tire.cornering_stiffness(tire.axles(P)).tolist(), beta)
+def output_rows(t: np.ndarray, X: np.ndarray, U: np.ndarray, P: np.ndarray,
+                cfg: VehicleConfig) -> list[OutputRow]:
+    """Output rows of states X (n, 6) at times t with U rows
+    [ax, ay, r, delta].  Slip, force and side-slip fields are None outside
+    the lateral-force gate and at a nonphysical (non-positive) vertical
+    load."""
+    # alpha_f, alpha_r, Fyf, Fyr, beta: computed on the gated states only
+    lateral = np.full((len(t), 5), None, dtype=object)
+    gated = tire.force_gate(X[:, 0], X[:, 1], U[:, 0], U[:, 3], cfg)
+    if gated.any():
+        Xg, ax_meas, delta = X[gated], U[gated, 0], U[gated, 3]
+        lateral[gated] = np.column_stack((
+            tire.slip_angles(Xg[:, 0], Xg[:, 1], Xg[:, 2], delta, cfg),
+            tire.model_lateral_forces(Xg, ax_meas, delta, P, cfg),
+            np.arctan(Xg[:, 1] / Xg[:, 0])))
+    bcd = tire.cornering_stiffness(tire.axles(P)).tolist()
+    return [OutputRow(tk, *x, *lat[:4], *bcd, lat[4])
+            for tk, x, lat in zip(t.tolist(), X.tolist(), lateral.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +603,7 @@ class Estimator:
         self._last_solve_t = t
 
     def _emit(self, t, X, U) -> None:
-        for row in zip(t, X, U):
-            self.rows.append(output_row(*row, self.P, self.cfg))
+        self.rows += output_rows(t, X, U, self.P, self.cfg)
 
     def finalize(self) -> None:
         """Flush rows for grid states still inside the window."""

@@ -207,13 +207,18 @@ def test_bench_cost_digest_is_that_of_the_estimate(tmp_path, capsys):
     log = os.path.join(str(tmp_path), "log.jsonl")
     with open(log, "w", encoding="utf-8") as fh:
         fh.writelines(_lines_3s())
-    first = cli.cmd_bench(log, None, 1)["cost_sha256"]
+    bench = cli.cmd_bench(log, None, 1)
+    first = bench["cost_sha256"]
     assert cli.cmd_bench(log, None, 1)["cost_sha256"] == first
-    assert f"cost sha256 {first}" in capsys.readouterr().out
-    est = cli.cmd_estimate(log, None, os.path.join(str(tmp_path), "e.csv"),
-                           quiet=True)
+    out = capsys.readouterr().out
+    assert f"cost sha256 {first}" in out
+    assert f"rows sha256 {bench['rows_sha256']}" in out
+    csv = os.path.join(str(tmp_path), "e.csv")
+    est = cli.cmd_estimate(log, None, csv, quiet=True)
     costs = repr([r.final_cost for r in est.reports])
     assert hashlib.sha256(costs.encode()).hexdigest() == first
+    with open(csv, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == bench["rows_sha256"]
 
 
 def test_bench_exits_3_naming_the_first_differing_solve(tmp_path,
@@ -266,8 +271,11 @@ def test_unusable_estimate_csv_exits_2_naming_file_and_column(
     assert est in err and named in err
 
 
-@pytest.mark.parametrize("summary", [b"{bad", b"[1, 2]"],
-                         ids=["invalid_json", "not_an_object"])
+@pytest.mark.parametrize("summary", [
+    b"{bad", b"[1, 2]", b'{"solve_time": [1, 2]}',
+    b'{"solve_time": {"count": 3}}',
+], ids=["invalid_json", "not_an_object", "solve_time_not_an_object",
+        "solve_time_missing_mean"])
 def test_unusable_summary_exits_2_naming_it(tmp_path, capsys, summary):
     est = os.path.join(str(tmp_path), "est.csv")
     truth = os.path.join(str(tmp_path), "truth.csv")

@@ -16,7 +16,7 @@ from radgrip.core import (ImuSample, RadarPoint, RadarScan, SteeringSample,
                           WindowOrderError, default_config, event_time,
                           parse_event)
 from radgrip.mhe import (Estimator, SlidingWindow, SolveReport,
-                         WindowProblem, output_row, replay_events,
+                         WindowProblem, output_rows, replay_events,
                          solve, solve_problem)
 from radgrip.radar import (bearing_vectors, body_projection,
                            expected_doppler, scan_to_factors)
@@ -311,7 +311,8 @@ def test_prior_continuity_on_noiseless_data():
 
 def test_estimate_outputs_straight_running():
     win = _cruise_window(vx=20.0, with_scans=0)
-    row = output_row(win.t[-1], win.X[-1], win.U[-1], P_TRUTH_DEFAULT, CFG)
+    row = output_rows(win.t[-1:], win.X[-1:], win.U[-1:], P_TRUTH_DEFAULT,
+                      CFG)[0]
     assert row.beta == pytest.approx(0.0, abs=1e-12)
     assert row.Fyf == pytest.approx(0.0, abs=1e-9)
     assert row.alpha_f == pytest.approx(0.0, abs=1e-12)
@@ -321,7 +322,8 @@ def test_estimate_outputs_straight_running():
 
 def test_estimate_outputs_below_gate_emits_nulls():
     win = _cruise_window(vx=3.0, with_scans=0)
-    row = output_row(win.t[-1], win.X[-1], win.U[-1], P_TRUTH_DEFAULT, CFG)
+    row = output_rows(win.t[-1:], win.X[-1:], win.U[-1:], P_TRUTH_DEFAULT,
+                      CFG)[0]
     assert row.alpha_f is None and row.Fyf is None and row.beta is None
     assert row.BCD_f > 0
 

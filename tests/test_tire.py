@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radgrip.core import default_config
-from radgrip.mhe import SlidingWindow, WindowProblem, output_row
+from radgrip.mhe import SlidingWindow, WindowProblem, output_rows
 from radgrip.tire import (cornering_stiffness, force_gate, force_slip,
                           lateral_force_residual, magic_formula_derivs,
                           magic_formula_values, measured_lateral_forces,
@@ -32,7 +32,7 @@ def _window(vx, ax=0.0, ay=0.0, delta=0.0, cfg=CFG):
 
 def _newest_row(win, P, cfg):
     """Output row of the window's newest state."""
-    return output_row(win.t[-1], win.X[-1], win.U[-1], P, cfg)
+    return output_rows(win.t[-1:], win.X[-1:], win.U[-1:], P, cfg)[0]
 
 
 def _residual(x, ay, P, cfg, ax=0.0, delta=0.0):
@@ -132,6 +132,34 @@ def test_nonpositive_load_forms_no_lateral_force_rows():
     assert len(problem.fy_idx) == 0
     assert len(WindowProblem(_window(30.0, ax=10.0),
                              CFG.initial_params, CFG).fy_idx) == 2
+
+
+def test_block_output_rows_equal_one_call_per_state():
+    # the states of one window straddle the gate: below the speed gate,
+    # above it, and above it at a non-positive front load; each gated
+    # value must land on its own row
+    rng = np.random.default_rng(3)
+    vx = np.array([20.0, 3.0, 10.0, 35.0, 4.0, 25.0, 10.0, 60.0])
+    ax = np.array([1.0, 0.0, 60.0, -8.0, 2.0, 0.5, -1.0, 3.0])
+    gated_out = [False, True, True, False, True, False, False, False]
+    n = len(vx)
+    X = np.column_stack((vx, rng.uniform(-1.0, 1.0, (n, 2)),
+                         rng.uniform(-0.1, 0.1, (n, 3))))
+    U = np.column_stack((ax, rng.uniform(-10.0, 10.0, n), X[:, 2],
+                         rng.uniform(-0.1, 0.1, n)))
+    t = 0.01 * np.arange(n)
+    P = EX.initial_params * rng.uniform(0.8, 1.2, 12)
+    rows = output_rows(t, X, U, P, EX)
+    assert rows == [output_rows(t[k:k + 1], X[k:k + 1], U[k:k + 1], P,
+                                EX)[0] for k in range(n)]
+    lateral = [(r.alpha_f, r.alpha_r, r.Fyf, r.Fyr, r.beta) for r in rows]
+    assert [all(v is None for v in lat) for lat in lateral] == gated_out
+    assert all(None not in lat for lat, out in zip(lateral, gated_out)
+               if not out)
+    assert [r.t for r in rows] == t.tolist()
+    assert [r.beta for r in rows if r.beta is not None] == pytest.approx(
+        [math.atan(x[1] / x[0]) for x, out in zip(X, gated_out) if not out],
+        rel=1e-15, abs=0.0)
 
 
 P_EX = np.array([10.0, 1.9, 1.0, 0.97, 0.0, 0.0])

@@ -55,6 +55,8 @@ def _write_csv(path: str, columns: tuple, rows) -> None:
 def cmd_sim(scenario: str, config_path: str | None, seed: int,
             out_dir: str) -> dict:
     """Generate one preset scenario; writes log, truth and a manifest."""
+    if seed < 0:
+        raise UsageError("seed must be >= 0")
     cfg = load_config(config_path)
     try:
         spec = simgen.make_scenario(scenario, cfg, seed=seed)

@@ -1,10 +1,10 @@
 """Domain types, configuration handling and the JSONL sensor-log data model.
 
-Each record's fields are stated once, on its dataclass: the log reader and
-writer and the config loader and checks walk them.  All value types in
-this module are plain immutable records; they carry no behaviour beyond
-conversion helpers and are safe to hand between threads.  Timestamps are
-seconds as float64 in a single monotonic clock domain.
+Each record's fields are stated once.  Log records are NamedTuples in
+JSONL field order, read and written through their _fields; config records
+are dataclasses, whose fields the config loader and checks walk.  Log
+records carry no behaviour and are safe to hand between threads.
+Timestamps are seconds as float64 in a single monotonic clock domain.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from operator import attrgetter
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -76,8 +75,7 @@ class IoError(EstimatorError):
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RadarPoint:
+class RadarPoint(NamedTuple):
     """One polar radar return with apparent (possibly aliased) Doppler."""
 
     range: float
@@ -87,8 +85,7 @@ class RadarPoint:
     snr: float
 
 
-@dataclass(frozen=True)
-class RadarScan:
+class RadarScan(NamedTuple):
     radar_id: int
     t_capture: float
     t_receive: float
@@ -121,8 +118,7 @@ class RadarExtrinsics:
     fov_elevation: float = _positive(0.2)   # half-angle (rad)
 
 
-@dataclass(frozen=True)
-class ImuSample:
+class ImuSample(NamedTuple):
     """IMU event.  az/gx/gy are optional 3-axis channels: az feeds the
     standstill detector only, an absent az counting as a level vehicle
     (az = g), and gx/gy are not read."""
@@ -136,15 +132,15 @@ class ImuSample:
     gy: float | None = None
 
 
-@dataclass(frozen=True)
-class SteeringSample:
+class SteeringSample(NamedTuple):
     t: float
     delta: float
 
 
-@dataclass(frozen=True)
-class ReferenceVelocity:
-    """Optical-reference velocity channel, logged for metrics only."""
+class ReferenceVelocity(NamedTuple):
+    """Optical-reference velocity channel: admitted, counted (ref_vel,
+    late_ref_vel) and advancing the state grid like any event, but no
+    value of it is read; metrics score against the truth CSV."""
 
     t: float
     vx_ref: float
@@ -458,28 +454,24 @@ def _integer(v, kind: str, key: str) -> int:
     return v
 
 
-_POINT_FIELDS = tuple(f.name for f in fields(RadarPoint))
-_point_row = attrgetter(*_POINT_FIELDS)     # a point as its field values
-
-
 def _points(v, kind: str, key: str) -> tuple:
     """A list of points, each a list of RadarPoint's fields in order."""
     if not isinstance(v, list):
         raise SchemaError(f"{kind} record missing {key!r} list")
     points = []
     for i, row in enumerate(v):
-        if not isinstance(row, list) or len(row) != len(_POINT_FIELDS):
+        if not isinstance(row, list) or len(row) != len(RadarPoint._fields):
             raise SchemaError(f"{kind} point {i} must be "
-                              f"[{','.join(_POINT_FIELDS)}]")
+                              f"[{','.join(RadarPoint._fields)}]")
         for x in row:
             if type(x) is not float or x - x:   # not a finite float
                 try:
                     row = [_number(val, kind, name)
-                           for val, name in zip(row, _POINT_FIELDS)]
+                           for val, name in zip(row, RadarPoint._fields)]
                 except (SchemaError, RangeError) as e:
                     raise type(e)(f"{kind} point {i}: {e}") from None
                 break
-        p = RadarPoint(*row)
+        p = RadarPoint._make(row)
         if p.range < 0:
             raise RangeError(f"{kind} point {i} has negative range")
         points.append(p)
@@ -492,15 +484,14 @@ _EVENT_TYPES = {"imu": ImuSample, "steering": SteeringSample,
 _READERS = {"radar_id": _integer, "points": _points}
 
 # tag -> (class, ((field, reader, optional), ...)): a field with no default
-# is required and one defaulting to None optional; every field is a finite
-# number but for those in _READERS.
+# is required and one with a default (always None) optional; every field is
+# a finite number but for those in _READERS.
 _LOG_SCHEMA = {
-    tag: (cls, tuple((f.name, _READERS.get(f.name, _number),
-                      f.default is None) for f in fields(cls)))
+    tag: (cls, tuple((key, _READERS.get(key, _number),
+                      key in cls._field_defaults) for key in cls._fields))
     for tag, cls in _EVENT_TYPES.items()}
 
-_EVENT_TAGS = {cls: (tag, tuple(f.name for f in fields(cls)))
-               for tag, cls in _EVENT_TYPES.items()}
+_EVENT_TAGS = {cls: tag for tag, cls in _EVENT_TYPES.items()}
 
 
 def parse_event(line: str) -> SensorEvent:
@@ -527,7 +518,7 @@ def parse_event(line: str) -> SensorEvent:
     for key, read, optional in spec:
         v = rec.get(key)
         values.append(None if v is None and optional else read(v, kind, key))
-    ev = cls(*values)
+    ev = cls._make(values)
     if cls is RadarScan and ev.t_receive < ev.t_capture:
         raise RangeError("radar t_receive precedes t_capture")
     return ev
@@ -538,16 +529,12 @@ def serialize_event(ev: SensorEvent) -> str:
     tag, then every field that is not None, in field order.  Raises
     RangeError on a non-finite value."""
     try:
-        tag, keys = _EVENT_TAGS[type(ev)]
+        tag = _EVENT_TAGS[type(ev)]
     except KeyError:
         raise SchemaError(f"cannot serialize {type(ev).__name__}") from None
     rec = {"type": tag}
-    for key in keys:
-        v = getattr(ev, key)
-        if v is not None:
-            rec[key] = v
+    rec.update((key, v) for key, v in zip(ev._fields, ev) if v is not None)
     try:
-        return json.dumps(rec, separators=(",", ":"), allow_nan=False,
-                          default=_point_row)
+        return json.dumps(rec, separators=(",", ":"), allow_nan=False)
     except ValueError as e:
         raise RangeError(f"cannot serialize {tag} record: {e}") from None

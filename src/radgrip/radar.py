@@ -38,8 +38,8 @@ def body_projection(ext: RadarExtrinsics, bearings: np.ndarray):
 
 def expected_doppler(X, cx, cy, lever):
     """Doppler static points would measure from state rows X (..., 6),
-    given their projection terms (z velocity and roll/pitch rates
-    ignored)."""
+    given their projection terms; only X[..., :3] = (vx, vy, r) is read
+    (z velocity and roll/pitch rates ignored)."""
     return -(cx * X[..., 0] + cy * X[..., 1] + lever * X[..., 2])
 
 
@@ -51,8 +51,10 @@ def dealias(v_d, v_e, V_N: float):
     NaN where a measurement violates |v_d| <= V_N.
     """
     v_d = np.asarray(v_d, dtype=float)
-    n = np.rint((v_e - v_d) / (2.0 * V_N)).astype(int)
     in_band = np.abs(v_d) <= V_N * (1.0 + 1e-12)
+    # n is computed with 0 in place of an out-of-band v_d, so that a huge
+    # finite one cannot overflow the int cast
+    n = np.rint((v_e - np.where(in_band, v_d, 0.0)) / (2.0 * V_N)).astype(int)
     return np.where(in_band, v_d + 2.0 * n * V_N, np.nan), n
 
 

@@ -6,7 +6,7 @@ axle forces produced by the same tire formulas the estimator fits, and the
 recorded accelerations are the body-frame quantities an ideal IMU would
 see.  Sensor synthesis adds Gaussian IMU noise and biases, draws radar
 point bearings from Cauchy distributions, computes their true Doppler with
-the estimator's own projection formula, wraps it at the Nyquist velocity,
+the estimator's radar.expected_doppler, wraps it at the Nyquist velocity,
 and delays each scan by a processing latency.
 
 Each preset is one PRESETS entry: the builder of its segment list, a
@@ -27,7 +27,7 @@ from radgrip import tire
 from radgrip.core import (ImuSample, RadarExtrinsics, RadarPoint, RadarScan,
                           RangeError, ReferenceVelocity, SteeringSample,
                           TruthDivergenceError, VehicleConfig, event_time)
-from radgrip.radar import body_projection, bearing_vectors
+from radgrip.radar import body_projection, bearing_vectors, expected_doppler
 
 # lateral dynamics are frozen below this speed (vehicle crawling straight)
 _V_FLOOR = 1.0
@@ -265,30 +265,26 @@ def simulate_truth(script: ManeuverScript, P_truth: np.ndarray,
 # Sensor synthesis
 # ---------------------------------------------------------------------------
 
+def _records(cls, *columns) -> tuple:
+    """One cls record per row of the equal-length column arrays, with
+    Python scalars as fields."""
+    return tuple(map(cls, *(c.tolist() for c in columns)))
+
+
 def gen_imu(truth: TruthTrajectory, noise: NoiseConfig,
-            rng: np.random.Generator, g: float) -> list[ImuSample]:
+            rng: np.random.Generator, g: float) -> tuple[ImuSample, ...]:
     """Sample the truth at IMU_RATE, adding white noise and the
     configured constant biases.  az/gx/gy carry the level-vehicle values:
     gravity g and no roll or pitch rate."""
-    n = int(math.floor(truth.t[-1] * IMU_RATE)) + 1
-    ts = np.arange(n) / IMU_RATE
-    idx = truth.index_at(ts)
+    ts = np.arange(int(math.floor(truth.t[-1] * IMU_RATE)) + 1) / IMU_RATE
+    i = truth.index_at(ts)
     bx, by = noise.imu_accel_bias
-    na = rng.normal(0.0, 1.0, size=(n, 3)) * IMU_ACCEL_STD
-    ng = rng.normal(0.0, 1.0, size=(n, 3)) * IMU_GYRO_STD
-    out = []
-    for k in range(n):
-        i = idx[k]
-        out.append(ImuSample(
-            t=float(ts[k]),
-            ax=float(truth.ax[i] + bx + na[k, 0]),
-            ay=float(truth.ay[i] + by + na[k, 1]),
-            r=float(truth.r[i] + noise.imu_gyro_bias + ng[k, 2]),
-            az=float(g + na[k, 2]),
-            gx=float(ng[k, 0]),
-            gy=float(ng[k, 1]),
-        ))
-    return out
+    na = rng.normal(0.0, 1.0, size=(len(ts), 3)) * IMU_ACCEL_STD
+    ng = rng.normal(0.0, 1.0, size=(len(ts), 3)) * IMU_GYRO_STD
+    return _records(ImuSample, ts, truth.ax[i] + bx + na[:, 0],
+                    truth.ay[i] + by + na[:, 1],
+                    truth.r[i] + noise.imu_gyro_bias + ng[:, 2],
+                    g + na[:, 2], ng[:, 0], ng[:, 1])
 
 
 def wrap(v, V_N: float):
@@ -310,13 +306,13 @@ def gen_radar_scan(truth: TruthTrajectory, t_capture: float,
                    rng: np.random.Generator) -> RadarScan:
     """One synthetic scan at the capture time.
 
-    True Doppler uses the estimator's projection formula on the exact
-    bearings; the reported bearings carry Gaussian noise, the Doppler is
-    wrapped at the Nyquist velocity, and arrival is delayed by the drawn
-    processing latency.
+    True Doppler is radar.expected_doppler on the exact bearings; the
+    reported bearings carry Gaussian noise, the Doppler is wrapped at the
+    Nyquist velocity, and arrival is delayed by the drawn processing
+    latency.
     """
     i = truth.index_at(t_capture)
-    vx, vy, r = truth.vx[i], truth.vy[i], truth.r[i]
+    x = np.array([truth.vx[i], truth.vy[i], truth.r[i]])
     n_pts = max(0, int(round(rng.normal(POINTS_MEAN, POINTS_STD))))
     theta = np.clip(GAMMA_THETA * rng.standard_cauchy(n_pts),
                     -ext.fov_azimuth, ext.fov_azimuth)
@@ -324,12 +320,12 @@ def gen_radar_scan(truth: TruthTrajectory, t_capture: float,
                   -ext.fov_elevation, ext.fov_elevation)
     b = bearing_vectors(theta, phi)
     cx, cy, lever = body_projection(ext, b)
-    v_true = -(cx * vx + cy * vy + lever * r)
+    v_true = expected_doppler(x, cx, cy, lever)
     out_u = rng.uniform(0.0, 1.0, n_pts)
     v_true = np.where(out_u < noise.outlier_frac,
                       v_true + OUTLIER_OFFSET, v_true)
     n_vd = GAMMA_VD * rng.standard_cauchy(n_pts)
-    v_d = wrap(v_true + n_vd, ext.nyquist) if n_pts else np.zeros(0)
+    v_d = wrap(v_true + n_vd, ext.nyquist)
     theta_hat = np.clip(theta + rng.normal(0.0, 1.0, n_pts) * SIGMA_THETA,
                         -ext.fov_azimuth, ext.fov_azimuth)
     phi_hat = np.clip(phi + rng.normal(0.0, 1.0, n_pts) * SIGMA_PHI,
@@ -337,12 +333,9 @@ def gen_radar_scan(truth: TruthTrajectory, t_capture: float,
     snr = rng.uniform(SNR_LO, SNR_HI, n_pts)
     rng_m = rng.uniform(5.0, 120.0, n_pts)
     latency = max(0.0, rng.normal(LATENCY_MEAN, LATENCY_STD))
-    points = tuple(
-        RadarPoint(float(rng_m[k]), float(theta_hat[k]), float(phi_hat[k]),
-                   float(v_d[k]), float(snr[k]))
-        for k in range(n_pts))
-    return RadarScan(radar_id, float(t_capture),
-                     float(t_capture + latency), points)
+    points = _records(RadarPoint, rng_m, theta_hat, phi_hat, v_d, snr)
+    return RadarScan(radar_id, float(t_capture), float(t_capture + latency),
+                     points)
 
 
 def run_scenario(script: ManeuverScript, P_truth: np.ndarray,
@@ -361,17 +354,12 @@ def run_scenario(script: ManeuverScript, P_truth: np.ndarray,
     events: list = []
     events.extend(gen_imu(truth, noise, rng, cfg.g))
     t_end = truth.t[-1]
-    n_st = int(math.floor(t_end * STEER_RATE)) + 1
-    for k in range(n_st):
-        t = k / STEER_RATE
-        events.append(SteeringSample(t, float(
-            truth.delta[truth.index_at(t)])))
-    n_rf = int(math.floor(t_end * REF_RATE)) + 1
-    for k in range(n_rf):
-        t = k / REF_RATE
-        i = truth.index_at(t)
-        events.append(ReferenceVelocity(t, float(truth.vx[i]),
-                                        float(truth.vy[i])))
+    ts = np.arange(int(math.floor(t_end * STEER_RATE)) + 1) / STEER_RATE
+    events.extend(_records(SteeringSample, ts,
+                           truth.delta[truth.index_at(ts)]))
+    ts = np.arange(int(math.floor(t_end * REF_RATE)) + 1) / REF_RATE
+    i = truth.index_at(ts)
+    events.extend(_records(ReferenceVelocity, ts, truth.vx[i], truth.vy[i]))
     for rid, ext in enumerate(cfg.radars):
         t_cap = RADAR_PHASE + rid * RADAR_OFFSET
         while t_cap <= t_end + 1e-9:

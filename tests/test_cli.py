@@ -81,6 +81,8 @@ def test_param_convergence_time_on_a_hand_made_table():
 def test_usage_errors_exit_1(tmp_path):
     assert cli.main(["sim", "no_such_scenario", "--out", str(tmp_path)]) == 1
     assert cli.main(["bench", "unused.jsonl", "--repetitions", "0"]) == 1
+    assert cli.main(["sim", "standstill", "--seed", "-1",
+                     "--out", str(tmp_path)]) == 1
 
 
 def test_missing_log_exits_2(tmp_path):

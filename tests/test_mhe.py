@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import gzip
 import math
@@ -384,9 +383,9 @@ EVENTS_2S = [ev for ev in _events_3s() if event_time(ev) <= 2.0]
 def _restamp(ev, d):
     """ev stamped d seconds earlier, all its times moved."""
     if isinstance(ev, RadarScan):
-        return dataclasses.replace(ev, t_capture=ev.t_capture - d,
-                                   t_receive=ev.t_receive - d)
-    return dataclasses.replace(ev, t=ev.t - d)
+        return ev._replace(t_capture=ev.t_capture - d,
+                           t_receive=ev.t_receive - d)
+    return ev._replace(t=ev.t - d)
 
 
 def _mutate(events, kind, where, amount):
@@ -403,7 +402,7 @@ def _mutate(events, kind, where, amount):
         scans = [k for k, ev in enumerate(events)
                  if isinstance(ev, RadarScan)]
         k = scans[int(where * len(scans))]
-        events[k] = dataclasses.replace(events[k], radar_id=7)
+        events[k] = events[k]._replace(radar_id=7)
 
 
 @settings(max_examples=8, deadline=None)

@@ -114,13 +114,19 @@ def test_dealias_one_wrap_down():
 
 def test_dealias_rejects_out_of_band_measurement():
     # an out-of-band point is rejected with its own reason, ahead of the
-    # SNR gate; the in-band points of the same scan are still accepted
-    v_r, _ = dealias([5.0, 30.0, 30.0], [5.0, 0.0, 0.0], 26.5)
-    reason = gate_points([25.0, 25.0, 4.0], [5.0, 0.0, 0.0], v_r, CFG)
-    assert reason.tolist() == [None, REJECT_ALIAS, REJECT_ALIAS]
+    # SNR gate; the in-band points of the same scan are still accepted.
+    # A finite Doppler far out of band, up to the largest float, is
+    # rejected the same way, without an overflowing wrap count.
+    huge = [1e300, -1.7976931348623157e308]
+    v_r, _ = dealias([5.0, 30.0, 30.0, *huge], [5.0, 0.0, 0.0, 0.0, 0.0],
+                     26.5)
+    reason = gate_points([25.0, 25.0, 4.0, 25.0, 25.0],
+                         [5.0, 0.0, 0.0, 0.0, 0.0], v_r, CFG)
+    assert reason.tolist() == [None] + 4 * [REJECT_ALIAS]
     win = _window_at_speed(20.0)
     pts = [RadarPoint(10.0, 0.0, 0.0, -20.0, 25.0),
-           RadarPoint(10.0, 0.1, 0.0, 30.0, 25.0)]
+           RadarPoint(10.0, 0.1, 0.0, 30.0, 25.0),
+           *(RadarPoint(10.0, 0.1, 0.0, v, 25.0) for v in huge)]
     rows = _bind(win, _scan(pts, win.t[-1] - 0.05, win.t[-1]))
     assert len(rows) == 1 and rows[0, 1] == pytest.approx(-20.0)
     # the estimator counts the point and carries on

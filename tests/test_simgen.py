@@ -6,13 +6,16 @@ is pinned by the digest of its seed-0 log serialized as ``radgrip sim``
 writes it, one JSONL line per event, and by the digest of its truth CSV as
 ``cli.write_truth_csv`` writes it: the per-axle slip angles and forces that
 ``metrics`` scores appear in no log.  ``brake_turn`` is the preset with
-scaled tire grip.
+scaled tire grip.  The benchmark workloads that are not presets, the
+fitlap prefix and stopgo, are pinned by the digests of the files
+``perfbench.workloads`` writes for them.
 """
 
 import hashlib
 
 import pytest
 
+from perfbench import workloads
 from radgrip import cli, simgen, tire
 from radgrip.core import TruthDivergenceError, default_config, serialize_event
 
@@ -52,6 +55,18 @@ SEED0_TRUTH_SHA256 = {
 }
 
 
+# workload -> SHA-256 of (log.jsonl, truth.csv) at sim seed 0;
+# dlc65_outliers is its preset, pinned above
+WORKLOAD_SEED0_SHA256 = {
+    "fitlap": (
+        "3abb49a6abb77b622c37dd45b3af50b9d17febc465f95295d720c03f615e2296",
+        "419f2103d4749c80d93bb03939c156d2ce457afda14b6193730a7da0a43dc370"),
+    "stopgo": (
+        "fdf66a629b583a169f55fa0d40c812e3051cc0d067ea266b9be5caead7b0a325",
+        "2a77c90004be48ddcf3df49270ab18b456ad3a25909e681c923f6bb2c7396983"),
+}
+
+
 def test_every_preset_is_pinned():
     assert set(SEED0_SHA256) == set(simgen.PRESETS)
     assert set(SEED0_TRUTH_SHA256) == set(simgen.PRESETS)
@@ -76,6 +91,14 @@ def test_seed0_truth_is_pinned(preset, tmp_path):
     cli.write_truth_csv(str(path), truth, cfg.thresholds.dt)
     assert hashlib.sha256(path.read_bytes()).hexdigest() \
         == SEED0_TRUTH_SHA256[preset]
+
+
+@pytest.mark.parametrize("workload", WORKLOAD_SEED0_SHA256)
+def test_seed0_workload_is_pinned(workload, tmp_path):
+    workloads.write_workload(workload, 0, str(tmp_path))
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in ("log.jsonl", "truth.csv")) \
+        == WORKLOAD_SEED0_SHA256[workload]
 
 
 def test_truth_divergence_is_raised_naming_the_time():

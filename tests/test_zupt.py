@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,7 +144,7 @@ def test_standstill_gets_zupt_with_imu_off_the_grid(imu_time):
     rng = np.random.default_rng(1)
     imu = [ev for ev in events if isinstance(ev, ImuSample)]
     events = [ev for ev in events if not isinstance(ev, ImuSample)] + [
-        replace(ev, t=imu_time(k, ev.t, rng)) for k, ev in enumerate(imu)]
+        ev._replace(t=imu_time(k, ev.t, rng)) for k, ev in enumerate(imu)]
     rank = {SteeringSample: 0, ImuSample: 1, ReferenceVelocity: 2,
             RadarScan: 3}
     events.sort(key=lambda ev: (event_time(ev), rank[type(ev)]))

@@ -2,18 +2,21 @@
 
 Each record's fields are stated once.  Log records are NamedTuples in
 JSONL field order, read and written through their _fields; config records
-are dataclasses, whose fields the config loader and checks walk.  Log
-records carry no behaviour and are safe to hand between threads.
-Timestamps are seconds as float64 in a single monotonic clock domain.
+are dataclasses, whose fields and their metadata state the config rules.
+One walk over those fields converts and checks a config, whether read
+from a YAML file (load_config) or built in code (validate_config, which
+returns a checked copy).  Log records carry no behaviour and are safe to
+hand between threads.  Timestamps are seconds as float64 in a single
+monotonic clock domain.
 """
 
-from __future__ import annotations
-
+# no `from __future__ import annotations`: the config walk reads the
+# evaluated type of each dataclass field
 import hashlib
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
+from typing import NamedTuple, Union, get_args, get_origin
 
 import numpy as np
 import yaml
@@ -92,7 +95,7 @@ class RadarScan(NamedTuple):
     points: tuple
 
 
-_POSITIVE = {"positive": True}     # field metadata: validate_config wants > 0
+_POSITIVE = {"positive": True}     # field metadata: the loader wants > 0
 
 
 def _positive(default: float):
@@ -102,17 +105,17 @@ def _positive(default: float):
 
 def _vector(*values: float, positive: bool = False):
     """A dataclass field defaulting to a fresh float array of ``values``,
-    each > 0 if ``positive``."""
+    each > 0 if ``positive``; the loader keeps arrays at that length."""
     return field(default_factory=lambda: np.array(values, dtype=float),
-                 metadata=_POSITIVE if positive else {})
+                 metadata={"shape": (len(values),), "positive": positive})
 
 
 @dataclass
 class RadarExtrinsics:
     """Mounting of one radar: body-from-radar rotation, lever arm, limits."""
 
-    rotation: np.ndarray        # 3x3, body <- radar
-    translation: np.ndarray     # radar position in body frame (m)
+    rotation: np.ndarray = field(metadata={"shape": (3, 3)})  # body <- radar
+    translation: np.ndarray = field(metadata={"shape": (3,)})  # body frame (m)
     nyquist: float = field(metadata=_POSITIVE)     # V_N (m/s)
     fov_azimuth: float = _positive(0.8)     # half-angle (rad)
     fov_elevation: float = _positive(0.2)   # half-angle (rad)
@@ -267,12 +270,12 @@ def load_config(path: str | None) -> VehicleConfig:
     The accepted keys are the fields of VehicleConfig and of its nested
     dataclasses, which hold the defaults, units and rules; radars is a
     list of RadarExtrinsics mappings.  Only keys present in the file are
-    overridden.  Each value must have its field's type and pass
-    validate_config: numbers finite, arrays the shape of their default,
-    fields declared positive > 0.  Malformed input raises ConfigError
-    naming the dotted path.  Numbers are never read from strings: YAML
-    reads 1e-9 as a string, so write 1.0e-9.  ``path=None`` returns the
-    defaults.
+    overridden.  One walk converts and checks each value: it must have its
+    field's type, numbers finite, arrays the shape of their default and
+    fields declared positive > 0; then the rules of validate_config that
+    relate fields apply.  Malformed input raises ConfigError naming the
+    dotted path.  Numbers are never read from strings: YAML reads 1e-9 as
+    a string, so write 1.0e-9.  ``path=None`` returns the defaults.
     """
     if path is None:
         return default_config()
@@ -283,29 +286,17 @@ def load_config(path: str | None) -> VehicleConfig:
         raise IoError(f"cannot read config file {path!r}: {e}") from e
     except yaml.YAMLError as e:
         raise ConfigError(f"invalid YAML in {path!r}: {e}") from e
-    return validate_config(_build(VehicleConfig, {} if raw is None else raw,
-                                  ""))
+    return _check_relations(_build(VehicleConfig, {} if raw is None else raw,
+                                   ""))
 
 
-def _entries(cls, raw, path: str):
-    """(field, value, annotated type, dotted name) for each entry of the
-    mapping ``raw`` of fields of dataclass ``cls``."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path or 'config root'}: expected a mapping, "
-                          f"got {raw!r}")
-    hints = get_type_hints(cls)
-    types = {f.name: hints[f.name] for f in fields(cls)}
-    for key, val in raw.items():
-        name = f"{path}.{key}" if path else str(key)
-        if key not in types:
-            raise ConfigError(f"{name}: unknown config key")
-        yield key, val, types[key], name
-
-
-def _convert(val, typ, name: str):
-    """``val`` as a value of the field type ``typ``: a dataclass is built
-    from a mapping, an int must be integral, and numbers and arrays are
-    never strings or bools."""
+def _convert(val, f, name: str):
+    """``val`` as a value of dataclass field ``f``, of type ``f.type``: a
+    dataclass is built from a mapping, an int must be integral, and numbers
+    and arrays are never strings or bools.  The value must then be finite,
+    have the shape declared in the field's metadata (a scalar none) and,
+    if the field is declared positive, be > 0."""
+    typ = f.type
     if is_dataclass(typ):
         return _build(typ, val, name)
     if get_origin(typ) is list:
@@ -314,20 +305,30 @@ def _convert(val, typ, name: str):
         (item,) = get_args(typ)
         return [_build(item, v, f"{name}[{i}]") for i, v in enumerate(val)]
     number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    out = None
     try:
         if typ is np.ndarray:
             arr = np.asarray(val)           # ValueError when ragged
             if arr.dtype.kind in "iuf":
-                return arr.astype(float)
+                out = arr.astype(float)
         elif typ is int and number and val == int(val):
-            return int(val)
+            out = int(val)
         elif typ is float and number:
-            return float(val)               # OverflowError past 1.8e308
+            out = float(val)                # OverflowError past 1.8e308
     except (ValueError, OverflowError):
         pass
-    expected = {np.ndarray: "a list of numbers", int: "an integer",
-                float: "a number"}[typ]
-    raise ConfigError(f"{name}: expected {expected}, got {val!r}")
+    if out is None:
+        expected = {np.ndarray: "a list of numbers", int: "an integer",
+                    float: "a number"}[typ]
+        raise ConfigError(f"{name}: expected {expected}, got {val!r}")
+    shape = f.metadata.get("shape", ())
+    if np.shape(out) != shape:
+        raise ConfigError(f"{name}: expected shape {shape}")
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"{name}: not finite")
+    if f.metadata.get("positive") and not np.all(np.greater(out, 0)):
+        raise ConfigError(f"{name}: must be positive")
+    return out
 
 
 def _build(cls, raw, path: str):
@@ -335,9 +336,17 @@ def _build(cls, raw, path: str):
     default; the other fields keep their defaults.  Every key must name a
     field, and ConfigError names the dotted path of a bad key or value
     (``path`` prefixes it)."""
-    values = {key: _convert(val, typ, name)
-              for key, val, typ, name in _entries(cls, raw, path)}
-    for f in fields(cls):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'config root'}: expected a mapping, "
+                          f"got {raw!r}")
+    by_name = {f.name: f for f in fields(cls)}
+    values = {}
+    for key, val in raw.items():
+        name = f"{path}.{key}" if path else str(key)
+        if key not in by_name:
+            raise ConfigError(f"{name}: unknown config key")
+        values[key] = _convert(val, by_name[key], name)
+    for f in by_name.values():
         if (f.name not in values and f.default is MISSING
                 and f.default_factory is MISSING):
             raise ConfigError(f"{path}.{f.name}: missing")
@@ -347,11 +356,11 @@ def _build(cls, raw, path: str):
 def config_to_dict(cfg):
     """Plain-data rendering of a config, used for hashing, manifests and
     as a config file: a dataclass becomes a dict of its fields, an array
-    or a list a list."""
+    or a list a list, and a numpy scalar a Python one."""
     if is_dataclass(cfg):
         return {f.name: config_to_dict(getattr(cfg, f.name))
                 for f in fields(cfg)}
-    if isinstance(cfg, np.ndarray):
+    if isinstance(cfg, (np.ndarray, np.generic)):
         return cfg.tolist()
     if isinstance(cfg, list):
         return [config_to_dict(v) for v in cfg]
@@ -364,17 +373,24 @@ def config_hash(cfg: VehicleConfig) -> str:
 
 
 def validate_config(cfg: VehicleConfig) -> VehicleConfig:
-    """Check every config invariant; raises ConfigError naming the field.
+    """A checked copy of ``cfg``; raises ConfigError naming the field.
 
-    The rules per field are read off the dataclasses: every number and
-    array entry is finite, every array keeps the shape of its default, and
-    a field declared positive (``_positive``, ``_vector(positive=True)``)
-    is > 0.  The cross-field rules are dTw >= dt, P_min <= P_max and at
-    least one radar, whose rotation is 3x3 and orthonormal and whose
-    translation has 3 entries.  Rotation matrices within 1e-6 of
-    orthonormal are re-orthonormalized.
+    The copy is read back from config_to_dict(cfg) by the walk that reads
+    a config file, so a config built in code meets the rules of one
+    loaded by load_config: every value has its field's type, every number
+    and array entry is finite, every array keeps the shape of its default
+    and a field declared positive (``_positive``,
+    ``_vector(positive=True)``) is > 0.  The rules that relate fields are
+    dTw >= dt, P_min <= P_max and at least one radar, whose rotation is
+    orthonormal; in the copy, a rotation within 1e-6 of orthonormal is
+    re-orthonormalized.  ``cfg`` itself is left unchanged.
     """
-    _check_fields(cfg, "")
+    return _check_relations(_build(type(cfg), config_to_dict(cfg), ""))
+
+
+def _check_relations(cfg: VehicleConfig) -> VehicleConfig:
+    """``cfg``, built by _build, once the rules of validate_config that
+    relate fields hold; re-orthonormalizes its rotations in place."""
     if cfg.thresholds.dTw < cfg.thresholds.dt:
         raise ConfigError("thresholds.dTw: shorter than thresholds.dt")
     if np.any(cfg.bounds.P_min > cfg.bounds.P_max):
@@ -382,10 +398,6 @@ def validate_config(cfg: VehicleConfig) -> VehicleConfig:
     if not cfg.radars:
         raise ConfigError("radars: empty")
     for i, ext in enumerate(cfg.radars):
-        if ext.translation.shape != (3,):
-            raise ConfigError(f"radars[{i}].translation: expected 3 entries")
-        if ext.rotation.shape != (3, 3):
-            raise ConfigError(f"radars[{i}].rotation: expected 3x3")
         err = np.abs(ext.rotation @ ext.rotation.T - np.eye(3)).max()
         det = np.linalg.det(ext.rotation)
         if err > 1e-6 or det < 0.5:
@@ -394,33 +406,6 @@ def validate_config(cfg: VehicleConfig) -> VehicleConfig:
             u, _, vt = np.linalg.svd(ext.rotation)
             ext.rotation = u @ vt
     return cfg
-
-
-def _check_fields(obj, path: str) -> None:
-    """Apply the per-field rules of validate_config to dataclass ``obj``
-    and, recursively, to its dataclass and list fields."""
-    for f in fields(obj):
-        name = f"{path}.{f.name}" if path else f.name
-        v = getattr(obj, f.name)
-        if is_dataclass(v):
-            _check_fields(v, name)
-        elif isinstance(v, list):
-            for i, item in enumerate(v):
-                _check_fields(item, f"{name}[{i}]")
-        else:
-            try:
-                arr = np.asarray(v, dtype=float)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"{name}: expected a finite number, "
-                                  f"got {v!r}") from None
-            if (f.default_factory is not MISSING
-                    and arr.shape != np.shape(f.default_factory())):
-                raise ConfigError(f"{name}: expected shape "
-                                  f"{np.shape(f.default_factory())}")
-            if not np.all(np.isfinite(arr)):
-                raise ConfigError(f"{name}: not finite")
-            if f.metadata.get("positive") and not np.all(arr > 0):
-                raise ConfigError(f"{name}: must be positive")
 
 
 # ---------------------------------------------------------------------------

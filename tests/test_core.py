@@ -182,9 +182,63 @@ def test_validate_config_reorthonormalizes_near_rotation():
     R = cfg.radars[1].rotation.copy()
     R[0, 1] += 2e-8
     cfg.radars[1].rotation = R
-    cfg = validate_config(cfg)
-    R = cfg.radars[1].rotation
+    given = config_hash(cfg)
+    checked = validate_config(cfg)
+    assert config_hash(cfg) == given    # the checked config is a copy
+    R = checked.radars[1].rotation
     assert np.abs(R @ R.T - np.eye(3)).max() < 1e-12
+
+
+def _root(cfg):
+    return cfg
+
+
+def _radar0(cfg):
+    return cfg.radars[0]
+
+
+def _solver(cfg):
+    return cfg.solver
+
+
+def _thresholds(cfg):
+    return cfg.thresholds
+
+
+@pytest.mark.parametrize("section, key, value, error", [
+    (_root, "m", True, "m: expected a number"),
+    (_root, "m", np.bool_(True), "m: expected a number"),
+    (_solver, "max_iterations", 2.5,
+     "solver.max_iterations: expected an integer"),
+    (_radar0, "nyquist", "26.5", "radars[0].nyquist: expected a number"),
+    (_root, "thresholds", None, "thresholds: expected a mapping"),
+], ids=["bool_for_a_float", "numpy_bool_for_a_float", "non_integral_int",
+        "string_for_a_float", "none_for_a_section"])
+def test_config_built_in_code_meets_the_file_rules(section, key, value,
+                                                   error):
+    # the message a YAML file with the same value gets
+    cfg = VehicleConfig()
+    setattr(section(cfg), key, value)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(error)}"):
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("section, key, value, kind", [
+    (_root, "initial_biases", [0.01, -0.02, 0.0], np.ndarray),
+    (_thresholds, "dt", np.float32(0.005), float),
+    (_thresholds, "dt", np.float64(0.005), float),
+    (_root, "m", np.int64(700), float),
+    (_solver, "max_iterations", np.int64(2), int),
+], ids=["list_for_an_array", "float32", "float64", "int64_for_a_float",
+        "int64_for_an_int"])
+def test_config_built_in_code_takes_lists_and_numpy_scalars(section, key,
+                                                            value, kind):
+    cfg = VehicleConfig()
+    setattr(section(cfg), key, value)
+    checked = validate_config(cfg)
+    assert type(getattr(section(checked), key)) is kind
+    assert np.array_equal(getattr(section(checked), key), value)
+    assert config_hash(checked) != config_hash(default_config())
 
 
 def test_validate_config_bounds_ordering():

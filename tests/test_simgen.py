@@ -8,10 +8,14 @@ writes it, one JSONL line per event, and by the digest of its truth CSV as
 ``metrics`` scores appear in no log.  ``brake_turn`` is the preset with
 scaled tire grip.  The benchmark workloads that are not presets, the
 fitlap prefix and stopgo, are pinned by the digests of the files
-``perfbench.workloads`` writes for them.
+``perfbench.workloads`` writes for them.  Each preset is simulated once,
+for both of its pins.
 """
 
+import functools
 import hashlib
+import os
+import tempfile
 
 import pytest
 
@@ -72,25 +76,32 @@ def test_every_preset_is_pinned():
     assert set(SEED0_TRUTH_SHA256) == set(simgen.PRESETS)
 
 
-@pytest.mark.parametrize("preset", SEED0_SHA256)
-def test_seed0_log_is_pinned(preset):
+@functools.cache
+def _seed0_digests(preset: str) -> tuple:
+    """SHA-256 of (log, truth CSV) of ``preset`` at seed 0, from one
+    simulation: the log pin and the truth pin share it."""
     cfg = default_config()
     spec = simgen.make_scenario(preset, cfg, seed=0)
-    events, _ = simgen.run_scenario(spec.script, spec.p_truth, spec.noise,
-                                    cfg)
+    events, truth = simgen.run_scenario(spec.script, spec.p_truth,
+                                        spec.noise, cfg)
     log = "".join(serialize_event(ev) + "\n" for ev in events)
-    assert hashlib.sha256(log.encode()).hexdigest() == SEED0_SHA256[preset]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "truth.csv")
+        cli.write_truth_csv(path, truth, cfg.thresholds.dt)
+        with open(path, "rb") as fh:
+            csv = fh.read()
+    return (hashlib.sha256(log.encode()).hexdigest(),
+            hashlib.sha256(csv).hexdigest())
+
+
+@pytest.mark.parametrize("preset", SEED0_SHA256)
+def test_seed0_log_is_pinned(preset):
+    assert _seed0_digests(preset)[0] == SEED0_SHA256[preset]
 
 
 @pytest.mark.parametrize("preset", SEED0_TRUTH_SHA256)
-def test_seed0_truth_is_pinned(preset, tmp_path):
-    cfg = default_config()
-    spec = simgen.make_scenario(preset, cfg, seed=0)
-    truth = simgen.simulate_truth(spec.script, spec.p_truth, cfg)
-    path = tmp_path / "truth.csv"
-    cli.write_truth_csv(str(path), truth, cfg.thresholds.dt)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() \
-        == SEED0_TRUTH_SHA256[preset]
+def test_seed0_truth_is_pinned(preset):
+    assert _seed0_digests(preset)[1] == SEED0_TRUTH_SHA256[preset]
 
 
 @pytest.mark.parametrize("workload", WORKLOAD_SEED0_SHA256)

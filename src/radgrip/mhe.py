@@ -16,15 +16,16 @@ window's first state and the tire parameters of the previous solve.
 The solver takes at most solver.max_iterations (default 1) Gauss-Newton
 steps on the dense window problem, so the estimate never depends on the
 clock.  WindowProblem is one table of factor classes, each giving its
-residual rows and its Jacobian blocks: the process chain's (6, 12) block
-over consecutive states, ZUPT, lateral-force and Doppler blocks on their
-states' columns, and the 12 tire-parameter columns filled by the
-lateral-force rows and the parameter prior.  Each step scatters those
-blocks into a dense J, then forms J^T J and its Cholesky factor;
-residuals and Jacobian are fresh arrays per call, no buffer is reused.
-Tire parameters are clamped into their box, and a step is kept only if it
-lowers the cost.  Doppler rows carry a Cauchy robust loss, everything else
-is quadratic.
+unwhitened residual rows and Jacobian blocks and carrying its inverse
+standard deviations w, which only residuals and jacobian apply: the
+process chain's -F and I blocks over consecutive states, identity blocks
+for the priors and ZUPT, lateral-force and Doppler blocks on their
+states' columns, and the 12 tire-parameter columns.  Each step scatters
+the whitened blocks into a dense J, then forms J^T J and its Cholesky
+factor; residuals and Jacobian are fresh arrays per call, no buffer is
+reused.  Tire parameters are clamped into their box, and a step is kept
+only if it lowers the cost.  Doppler rows carry a Cauchy robust loss,
+everything else is quadratic.
 """
 
 from __future__ import annotations
@@ -160,10 +161,20 @@ class SlidingWindow:
 # ---------------------------------------------------------------------------
 
 # One factor class of a window problem: n instances of m rows each.
-# residual(X, P) gives the (n, m) whitened residuals; jacobian(X, P) gives
-# one (first column per instance (n,), blocks (n, m, c)) pair per block
-# column of J.
-Factor = namedtuple("Factor", "name n m residual jacobian")
+# residual(X, P) gives the (n, m) unwhitened residuals; jacobian(X, P)
+# gives one (first column per instance (n,), blocks broadcasting to
+# (n, m, c)) pair per block column of J; w, the class's inverse standard
+# deviations, broadcasts to (n, m) and whitens both.
+Factor = namedtuple("Factor", "name n m w residual jacobian")
+
+
+def identity_factor(name: str, col: np.ndarray, rows, target: np.ndarray,
+                    w) -> Factor:
+    """The Factor rows(X, P) - target, whose n instances are the (n, m)
+    variables from columns col (n,) on: its blocks are identity."""
+    n, m = target.shape
+    return Factor(name, n, m, w, lambda X, P: rows(X, P) - target,
+                  lambda X, P: [(col, np.eye(m)[None])])
 
 
 def cauchy_loss(rd: np.ndarray, c: float) -> float:
@@ -188,11 +199,12 @@ class WindowProblem:
 
     table holds one Factor per class in row order: the two priors,
     process, ZUPT, lateral force and Doppler, each binding this window's
-    rows and weights to its domain module's residual and partials.  A
-    class with no instances is not evaluated.  Doppler comes last: its
-    rows, the only ones under the Cauchy loss, end r.  Entries close over
-    arrays, never over the problem, so a problem is freed by reference
-    counting alone (replay_events runs with gc disabled).
+    rows and weights to a domain module's residual and partials, or to
+    identity_factor for the priors and ZUPT.  A class with no instances is
+    not evaluated.  Doppler comes last: its rows, the only ones under the
+    Cauchy loss, end r.  Entries close over arrays, never over the problem,
+    so a problem is freed by reference counting alone (replay_events
+    disables gc).
     """
 
     def __init__(self, window: SlidingWindow, P_init: np.ndarray,
@@ -204,24 +216,17 @@ class WindowProblem:
         self.P_init = P_init
         self.cauchy = cfg.solver.cauchy_scale
         t, U, dop = window.t, window.U, window.dop
-        prior_x = window.X[0].copy()
         dt = np.diff(t)
         u_ax, u_ay, u_r, u_delta = U.T
-
-        w_x0 = 1.0 / np.sqrt(cov.Sigma_x0)
-        w_P = 1.0 / np.sqrt(cov.Sigma_P)
         w_proc = 1.0 / np.sqrt(
             cov.Sigma_w[None, :] * (dt[:, None] / cfg.thresholds.dt))
-        w_zv = 1.0 / np.sqrt(cov.Sigma_zv)
-        w_fy = 1.0 / np.sqrt(cov.Sigma_Fy)
-        w_dop = 1.0 / cov.sigma_doppler
         proc_col = 6 * np.arange(K - 1)
-
         zv_idx = np.flatnonzero(window.zv)
-        zv = U[zv_idx, :3]
+        # a ZUPT state's targets: zero velocities and its own U row
+        zv_target = np.hstack((np.zeros((len(zv_idx), 3)), U[zv_idx, :3]))
 
         # lateral-force rows: gate on the entry estimates, fixed per solve
-        fy_idx = self.fy_idx = np.flatnonzero(tire.force_gate(
+        fy_idx = np.flatnonzero(tire.force_gate(
             window.X[:, 0], window.X[:, 1], u_ax, u_delta, cfg))
         fy_ax, fy_delta = u_ax[fy_idx], u_delta[fy_idx]
         fy_meas = tire.measured_lateral_forces(u_ay[fy_idx], fy_delta, cfg)
@@ -231,31 +236,31 @@ class WindowProblem:
         vr, cx, cy, lever = dop[:, 1:].T
 
         self.table = (
-            Factor("prior_state", 1, 6,
-                   lambda X, P: (w_x0 * (X[0] - prior_x))[None],
-                   lambda X, P: [(np.zeros(1, int), np.diag(w_x0)[None])]),
-            Factor("prior_params", 1, 12,
-                   lambda X, P: (w_P * (P - P_init))[None],
-                   lambda X, P: [(np.full(1, 6 * K), np.diag(w_P)[None])]),
-            Factor("process", K - 1, 6,
+            identity_factor("prior_state", np.zeros(1, int),
+                            lambda X, P: X[:1], window.X[:1].copy(),
+                            1.0 / np.sqrt(cov.Sigma_x0)),
+            identity_factor("prior_params", np.full(1, 6 * K),
+                            lambda X, P: P[None], P_init[None],
+                            1.0 / np.sqrt(cov.Sigma_P)),
+            Factor("process", K - 1, 6, w_proc,
                    lambda X, P: motion.process_residual(
-                       X, u_ax, u_ay, u_r, dt, w_proc),
-                   lambda X, P: [(proc_col, motion.process_jacobian(
-                       X, dt, w_proc))]),
-            Factor("zupt", len(zv_idx), 6,
-                   lambda X, P: zupt.zv_residual(X[zv_idx], zv, w_zv),
-                   lambda X, P: [(6 * zv_idx, zupt.zv_jacobian(
-                       len(zv_idx), w_zv))]),
+                       X, u_ax, u_ay, u_r, dt),
+                   lambda X, P: [
+                       (proc_col, -motion.transition_jacobian(X[:-1], dt)),
+                       (proc_col + 6, np.eye(6)[None])]),
+            identity_factor("zupt", 6 * zv_idx, lambda X, P: X[zv_idx],
+                            zv_target, 1.0 / np.sqrt(cov.Sigma_zv)),
             Factor("lateral_force", len(fy_idx), 2,
+                   1.0 / np.sqrt(cov.Sigma_Fy),
                    lambda X, P: tire.lateral_force_residual(
-                       X[fy_idx], fy_ax, fy_delta, fy_meas, P, w_fy, cfg),
+                       X[fy_idx], fy_ax, fy_delta, fy_meas, P, cfg),
                    lambda X, P: zip(fy_cols, tire.lateral_force_jacobian(
-                       X[fy_idx], fy_ax, fy_delta, P, w_fy, cfg))),
+                       X[fy_idx], fy_ax, fy_delta, P, cfg))),
             Factor("doppler", len(dop), 1,
+                   1.0 / np.float64(cov.sigma_doppler),
                    lambda X, P: radar_mod.doppler_residual(
-                       X[dop_idx], vr, cx, cy, lever, w_dop)[:, None],
-                   lambda X, P: [(6 * dop_idx, radar_mod.doppler_jacobian(
-                       cx, cy, lever, w_dop)[:, None, :])]),
+                       X[dop_idx], vr, cx, cy, lever)[:, None],
+                   lambda X, P: [(6 * dop_idx, dop[:, None, 2:])]),
         )
         self.slices = {}
         off = 0
@@ -283,7 +288,7 @@ class WindowProblem:
         r = np.empty(self.nrows)
         for f in self.table:
             if f.n:
-                r[self.slices[f.name]] = f.residual(X, P).ravel()
+                r[self.slices[f.name]] = (f.residual(X, P) * f.w).ravel()
         return r
 
     def check_finite(self, r: np.ndarray) -> None:
@@ -307,11 +312,11 @@ class WindowProblem:
         J = np.zeros((self.nrows, self.nvar))
         for f in self.table:
             if f.n:
-                rows = (self.slices[f.name].start + f.m * np.arange(f.n))[
-                    :, None, None] + np.arange(f.m)[:, None]
+                sl = self.slices[f.name]
+                rows = np.arange(sl.start, sl.stop).reshape(f.n, f.m, 1)
                 for col0, blocks in f.jacobian(X, P):
-                    J[rows, col0[:, None, None]
-                      + np.arange(blocks.shape[2])] = blocks
+                    J[rows, col0[:, None, None] + np.arange(
+                        blocks.shape[2])] = blocks * f.w[..., None]
         return J
 
 

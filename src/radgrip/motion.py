@@ -1,4 +1,5 @@
-"""Discrete rigid-body motion model in curvilinear coordinates.
+"""Discrete rigid-body motion model in curvilinear coordinates, and the
+unwhitened process residual of a state chain with its partials.
 
 Velocities integrate measured accelerations (bias-corrected, with Coriolis
 coupling) by forward Euler; the yaw rate is taken algebraically from the
@@ -30,15 +31,16 @@ def predict_array(X, u_ax, u_ay, u_r, dt) -> np.ndarray:
     return out
 
 
-def process_residual(X, u_ax, u_ay, u_r, dt, w) -> np.ndarray:
-    """Whitened residuals X[k+1] - f(X[k], u[k]) of a state chain X (K, 6).
+def process_residual(X, u_ax, u_ay, u_r, dt) -> np.ndarray:
+    """Residuals X[k+1] - f(X[k], u[k]) of a state chain X (K, 6), shape
+    (K-1, 6); their partials are -transition_jacobian(X[k], dt) at x_k and
+    the identity at x_{k+1}.
 
-    Inputs and dt have K-1 entries (u_* may have K; the last is unused);
-    w (K-1, 6) is one over the process standard deviation of each step.
+    Inputs and dt have K-1 entries (u_* may have K; the last is unused).
     """
     n = len(X) - 1
     pred = predict_array(X[:-1], u_ax[:n], u_ay[:n], u_r[:n], dt)
-    return (X[1:] - pred) * w
+    return X[1:] - pred
 
 
 def transition_jacobian(X, dt) -> np.ndarray:
@@ -55,13 +57,3 @@ def transition_jacobian(X, dt) -> np.ndarray:
     F[..., 2, 2] = 0.0
     F[..., 2, 5] = -1.0
     return F
-
-
-def process_jacobian(X, dt, w) -> np.ndarray:
-    """Partials of process_residual: one (6, 12) block per step k over
-    [x_k, x_{k+1}], shape (K-1, 6, 12)."""
-    n = len(X) - 1
-    blocks = np.empty((n, 6, 12))
-    blocks[:, :, :6] = -w[:, :, None] * transition_jacobian(X[:-1], dt)
-    blocks[:, :, 6:] = w[:, :, None] * np.eye(6)
-    return blocks

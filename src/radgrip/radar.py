@@ -1,8 +1,8 @@
 """Radar Doppler processing: bearing geometry, expected Doppler from the
 vehicle state, de-aliasing against the Nyquist band, alias, SNR and
 innovation gating, conversion of scans into Doppler rows bound to the
-state at their capture time, and the whitened Doppler residual with its
-partials.
+state at their capture time, and the unwhitened Doppler residual, whose
+partials are the rows' stored projection terms.
 
 The sign convention is v_d = -b . v_R: points ahead of a forward-moving
 radar measure negative Doppler.
@@ -71,15 +71,11 @@ def gate_points(snr, v_e, v_r, cfg: VehicleConfig) -> np.ndarray:
     return reason
 
 
-def doppler_residual(X, v_r, cx, cy, lever, w) -> np.ndarray:
-    """Whitened Doppler residuals (v_r - v_e) * w at state rows X; the
-    solver applies the Cauchy robust loss on top of these values."""
-    return (v_r - expected_doppler(X, cx, cy, lever)) * w
-
-
-def doppler_jacobian(cx, cy, lever, w) -> np.ndarray:
-    """Partials of doppler_residual w.r.t. [vx, vy, r], shape (N, 3)."""
-    return np.stack([w * cx, w * cy, w * lever], axis=-1)
+def doppler_residual(X, v_r, cx, cy, lever) -> np.ndarray:
+    """Doppler residuals v_r - v_e = v_r + cx*vx + cy*vy + lever*r at
+    state rows X, so their partials w.r.t. (vx, vy, r) are the projection
+    terms (cx, cy, lever) themselves."""
+    return v_r - expected_doppler(X, cx, cy, lever)
 
 
 def scan_to_factors(scan: RadarScan, x_cap: np.ndarray,

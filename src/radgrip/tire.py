@@ -1,6 +1,6 @@
 """Lateral-dynamics measurement model: slip angles, vertical loads with
 aero downforce, the Pacejka lateral curve, the inertial force split and
-the whitened lateral-force factor with its partials.
+the unwhitened lateral-force residual with its partials.
 
 Every function works on arrays (one entry per state), is shared with the
 truth simulator, and gives each per-axle quantity a trailing axle axis,
@@ -130,15 +130,14 @@ def measured_lateral_forces(ay_meas, delta, cfg: VehicleConfig):
             / np.cos(np.multiply.outer(delta, _STEERED)))
 
 
-def lateral_force_residual(X, ax_meas, delta, fy_meas, P, w,
+def lateral_force_residual(X, ax_meas, delta, fy_meas, P,
                            cfg: VehicleConfig) -> np.ndarray:
-    """Whitened (measured - model) axle forces, shape (n, 2), at state rows
-    X (n, 6); fy_meas (n, 2) from measured_lateral_forces, w the two
-    inverse standard deviations."""
-    return (fy_meas - model_lateral_forces(X, ax_meas, delta, P, cfg)) * w
+    """Measured minus model axle forces, shape (n, 2), at state rows
+    X (n, 6); fy_meas (n, 2) from measured_lateral_forces."""
+    return fy_meas - model_lateral_forces(X, ax_meas, delta, P, cfg)
 
 
-def lateral_force_jacobian(X, ax_meas, delta, P, w, cfg: VehicleConfig):
+def lateral_force_jacobian(X, ax_meas, delta, P, cfg: VehicleConfig):
     """Partials of lateral_force_residual: d/d[vx, vy, r] of shape
     (n, 2, 3) and d/dP of shape (n, 2, 12), whose axle rows are the block
     diagonal of the per-axle curve partials."""
@@ -154,11 +153,11 @@ def lateral_force_jacobian(X, ax_meas, delta, P, w, cfg: VehicleConfig):
     ds_dvx, ds_dvy, ds_dr = g * q / vx, -g / vx, -g * lever / vx
     dFz_dvx = vx * (cfg.Czf * cfg.rho * cfg.A, cfg.Czr * cfg.rho * cfg.A)
     dX = np.empty(Y.shape + (3,))
-    dX[..., 0] = -w * (dFz_dvx * Y + Fz * dY_ds * ds_dvx)
-    dX[..., 1] = -w * Fz * dY_ds * ds_dvy
-    dX[..., 2] = -w * Fz * dY_ds * ds_dr
+    dX[..., 0] = -(dFz_dvx * Y + Fz * dY_ds * ds_dvx)
+    dX[..., 1] = -Fz * dY_ds * ds_dvy
+    dX[..., 2] = -Fz * dY_ds * ds_dr
     dP = np.zeros(Y.shape + (2, 6))
-    dP[:, (0, 1), (0, 1)] = (-w * Fz)[..., None] * dY_dp
+    dP[:, (0, 1), (0, 1)] = -Fz[..., None] * dY_dp
     return dX, dP.reshape(len(Y), 2, 12)
 
 

@@ -1,15 +1,15 @@
-"""Standstill detection and the zero-velocity measurement model that
-anchors the IMU biases.
+"""The standstill detector, which marks the ZUPT states that anchor the
+IMU biases, plus estimate_attitude, which only perfbench still pins.
 
 Conventions: body z is up and a resting accelerometer reads +g on its up
-axis.  A ZUPT state's targets are its own input row (ax, ay, r): at rest
-the velocities and yaw rate are zero, the accel biases equal the planar
-accelerometer readings and the gyro bias equals the yaw-rate reading.
-The vehicle is taken to rest level, since at rest tilt and accelerometer
-bias cannot be told apart: a rest pitched by theta (nose down) puts
--g sin(theta) into the bx target, and a rest rolled by phi puts
-g cos(theta) sin(phi) into the by target, each pinned with the default
-Sigma_zv's sigma of 0.02 m/s^2.
+axis.  mhe.WindowProblem pins a ZUPT state to (0, 0, 0, ax, ay, r), from
+its own input row, with an identity factor: at rest the velocities and yaw
+rate are zero, the accel biases equal the planar accelerometer readings
+and the gyro bias equals the yaw-rate reading.  The vehicle is taken to
+rest level, since at rest tilt and accelerometer bias cannot be told
+apart: a rest pitched by theta (nose down) puts -g sin(theta) into the bx
+target, and a rest rolled by phi puts g cos(theta) sin(phi) into the by
+target, each pinned with the default Sigma_zv's sigma of 0.02 m/s^2.
 """
 
 from __future__ import annotations
@@ -80,20 +80,6 @@ def estimate_attitude(imu_window: Sequence[ImuSample],
     up = acc.mean(axis=0)
     up /= np.linalg.norm(up)
     return -cfg.g * up
-
-
-def zv_residual(X, zv, w) -> np.ndarray:
-    """Whitened zero-velocity residuals at state rows X (n, 6): velocities
-    and yaw rate at zero, biases at the readings zv (n, 3) = (ax, ay, r),
-    the states' own U rows."""
-    raw = np.array(X, dtype=float)
-    raw[:, 3:] -= zv
-    return raw * w
-
-
-def zv_jacobian(n: int, w) -> np.ndarray:
-    """Partials of zv_residual, one diagonal (6, 6) block per row."""
-    return np.broadcast_to(np.diag(w), (n, 6, 6))
 
 
 def accel_magnitude_deviation(ax: float, ay: float, az: float | None,

@@ -122,10 +122,18 @@ def _estimate(tmp_path, name, lines):
 
 
 @pytest.fixture(scope="module")
-def unmodified_3s_csv(tmp_path_factory):
-    """The estimate CSV of the 3 s log as it is, replayed once per module."""
-    return _estimate(tmp_path_factory.mktemp("unmodified"), "reference",
-                     _lines_3s())[0]
+def unmodified_3s(tmp_path_factory):
+    """(log path, estimate CSV bytes, SHA-256 of repr of the final costs) of
+    the 3 s log as it is, from one cmd_estimate call per module."""
+    out = str(tmp_path_factory.mktemp("unmodified"))
+    log = os.path.join(out, "log.jsonl")
+    with open(log, "w", encoding="utf-8") as fh:
+        fh.writelines(_lines_3s())
+    csv = os.path.join(out, "est.csv")
+    est = cli.cmd_estimate(log, None, csv, quiet=True)
+    costs = repr([r.final_cost for r in est.reports])
+    with open(csv, "rb") as fh:
+        return log, fh.read(), hashlib.sha256(costs.encode()).hexdigest()
 
 
 def test_unknown_radar_scan_is_counted_and_dropped(tmp_path):
@@ -205,31 +213,25 @@ def _late_scan(lines):
 ], ids=["late_imu", "stale_steering", "stale_imu", "late_steering",
         "late_ref_vel", "late_scan"])
 def test_dropped_event_is_counted_and_leaves_the_estimate(
-        tmp_path, unmodified_3s_csv, mutate, counter):
+        tmp_path, unmodified_3s, mutate, counter):
     lines = _lines_3s()
     mutated, reference = mutate(lines)
     csv, counters = _estimate(tmp_path, "mutated", mutated)
     assert counters[counter] == 1
-    assert csv == (unmodified_3s_csv if reference == lines
+    assert csv == (unmodified_3s[1] if reference == lines
                    else _estimate(tmp_path, "reference", reference)[0])
 
 
-def test_bench_cost_digest_is_that_of_the_estimate(tmp_path, capsys):
-    log = os.path.join(str(tmp_path), "log.jsonl")
-    with open(log, "w", encoding="utf-8") as fh:
-        fh.writelines(_lines_3s())
+def test_bench_cost_digest_is_that_of_the_estimate(unmodified_3s, capsys):
+    # bench and estimate are separate replays: equal digests show that
+    # runs agree, and that bench hashes the costs and CSV estimate makes
+    log, csv, cost_sha256 = unmodified_3s
     bench = cli.cmd_bench(log, None, 1)
-    first = bench["cost_sha256"]
-    assert cli.cmd_bench(log, None, 1)["cost_sha256"] == first
+    assert bench["cost_sha256"] == cost_sha256
+    assert bench["rows_sha256"] == hashlib.sha256(csv).hexdigest()
     out = capsys.readouterr().out
-    assert f"cost sha256 {first}" in out
+    assert f"cost sha256 {cost_sha256}" in out
     assert f"rows sha256 {bench['rows_sha256']}" in out
-    csv = os.path.join(str(tmp_path), "e.csv")
-    est = cli.cmd_estimate(log, None, csv, quiet=True)
-    costs = repr([r.final_cost for r in est.reports])
-    assert hashlib.sha256(costs.encode()).hexdigest() == first
-    with open(csv, "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest() == bench["rows_sha256"]
 
 
 def test_bench_exits_3_naming_the_first_differing_solve(tmp_path,

@@ -216,6 +216,34 @@ def test_window_problem_jacobian_matches_fd(vx, scans, zv_state):
         assert np.abs(J[:, j] - fd).max() / scale < 1e-6
 
 
+@pytest.mark.parametrize("name, field, scale", [
+    ("prior_state", "Sigma_x0", 4.0),
+    ("prior_params", "Sigma_P", 4.0),
+    ("process", "Sigma_w", 4.0),
+    ("zupt", "Sigma_zv", 4.0),
+    ("lateral_force", "Sigma_Fy", 4.0),
+    ("doppler", "sigma_doppler", 2.0),
+])
+def test_window_problem_whitens_each_class_by_its_own_weights(name, field,
+                                                              scale):
+    # four times a class's variance (twice sigma_doppler) halves its rows
+    # of r and J exactly and leaves every other row bitwise unchanged
+    win = _cruise_window(vx=22.0)
+    win.zv[3] = True
+    cfg = copy.deepcopy(CFG)
+    setattr(cfg.covariances, field, getattr(cfg.covariances, field) * scale)
+    base = WindowProblem(win, P_TRUTH_DEFAULT, CFG)
+    scaled = WindowProblem(win, P_TRUTH_DEFAULT, cfg)
+    assert all(f.n for f in base.table)
+    z = base.z_init() + np.random.default_rng(5).normal(0, 0.01, base.nvar)
+    own = np.zeros(base.nrows, dtype=bool)
+    own[base.slices[name]] = True
+    for a, b in ((base.residuals(z), scaled.residuals(z)),
+                 (base.jacobian(z), scaled.jacobian(z))):
+        assert np.any(a[own]) and np.array_equal(b[own], a[own] / 2)
+        assert np.array_equal(b[~own], a[~own])
+
+
 def test_solved_window_problem_is_freed_without_gc():
     # replay_events pauses cyclic gc, so a reference cycle through the
     # factor table would keep every solved problem alive

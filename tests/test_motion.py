@@ -92,8 +92,7 @@ def test_process_residual_zero_for_model_pair():
     ax, ay, r = np.array([1.0, 0.3]), np.array([-0.5, 0.1]), [0.21, 0.2]
     dt = np.array([0.01, 0.004])
     X = _chain(_x(vx=12.0, vy=0.4, r=0.2, bx=0.05), ax, ay, r, dt)
-    w = np.full((2, 6), 100.0)
-    res = process_residual(X, ax, ay, r, dt, w)
+    res = process_residual(X, ax, ay, r, dt)
     assert res.shape == (2, 6)
     assert np.allclose(res, 0.0, atol=1e-12)
 
@@ -119,7 +118,7 @@ def test_process_residual_whitening():
     X = win.X
     w = 1.0 / np.sqrt(cfg.covariances.Sigma_w * np.array([[1.0], [0.5]]))
     assert np.allclose(process_residual(X, *np.zeros((3, 3)),
-                                        np.array([0.01, 0.005]), w), res)
+                                        np.array([0.01, 0.005])) * w, res)
 
 
 def test_process_residual_rejects_nonpositive_dt():

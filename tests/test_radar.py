@@ -284,7 +284,7 @@ def test_stale_scan_rejected():
 def _residual(row, x, sigma=None):
     """Whitened residual of one Doppler row at state x."""
     w = 1.0 / (CFG.covariances.sigma_doppler if sigma is None else sigma)
-    return float(doppler_residual(x, *row[1:], w))
+    return float(doppler_residual(x, *row[1:]) * w)
 
 
 def test_doppler_residual_consistency():

@@ -35,12 +35,18 @@ def _newest_row(win, P, cfg):
     return output_rows(win.t[-1:], win.X[-1:], win.U[-1:], P, cfg)[0]
 
 
+def _fy_states(problem):
+    """Number of states with lateral-force rows (two per state)."""
+    sl = problem.slices["lateral_force"]
+    return (sl.stop - sl.start) // 2
+
+
 def _residual(x, ay, P, cfg, ax=0.0, delta=0.0):
     """Whitened lateral-force residual of one state row."""
     fy = measured_lateral_forces(np.array([ay]), np.array([delta]), cfg)
+    w = 1.0 / np.sqrt(cfg.covariances.Sigma_Fy)
     return lateral_force_residual(
-        x[None], np.array([ax]), np.array([delta]), fy, P,
-        1.0 / np.sqrt(cfg.covariances.Sigma_Fy), cfg)[0]
+        x[None], np.array([ax]), np.array([delta]), fy, P, cfg)[0] * w
 
 
 def test_slip_angles_straight():
@@ -129,9 +135,9 @@ def test_nonpositive_load_forms_no_lateral_force_rows():
     assert not force_gate(30.0, 0.0, 100.0, 0.0, CFG)
     problem = WindowProblem(_window(30.0, ax=100.0),
                             CFG.initial_params, CFG)
-    assert len(problem.fy_idx) == 0
-    assert len(WindowProblem(_window(30.0, ax=10.0),
-                             CFG.initial_params, CFG).fy_idx) == 2
+    assert _fy_states(problem) == 0
+    assert _fy_states(WindowProblem(_window(30.0, ax=10.0),
+                                    CFG.initial_params, CFG)) == 2
 
 
 def test_block_output_rows_equal_one_call_per_state():
@@ -267,9 +273,9 @@ def test_measured_forces_steering_domain():
     delta = np.radians([0.0, 30.0, 85.0, -85.0])
     assert force_gate(30.0, 0.0, 0.0, delta, EX).tolist() == [
         True, True, False, False]
-    assert len(WindowProblem(_window(30.0, delta=math.radians(85.0),
-                                     cfg=EX),
-                             EX.initial_params, EX).fy_idx) == 0
+    assert _fy_states(WindowProblem(_window(30.0, delta=math.radians(85.0),
+                                            cfg=EX),
+                                    EX.initial_params, EX)) == 0
 
 
 def test_residual_zero_when_consistent():
@@ -293,12 +299,10 @@ def test_residual_gated_out():
     # below the speed gate the window carries no lateral-force rows
     problem = WindowProblem(_window(3.0, ay=1.0),
                             CFG.initial_params, CFG)
-    assert len(problem.fy_idx) == 0
-    assert problem.slices["lateral_force"].stop \
-        == problem.slices["lateral_force"].start
+    assert _fy_states(problem) == 0
     problem = WindowProblem(_window(30.0, ay=1.0),
                             CFG.initial_params, CFG)
-    assert problem.fy_idx.tolist() == [0, 1]
+    assert _fy_states(problem) == 2
 
 
 def test_residual_sign_under_d_inflation():

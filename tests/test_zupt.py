@@ -7,10 +7,10 @@ from radgrip import simgen
 from radgrip.core import (ImuSample, InsufficientDataError, RadarPoint,
                           RadarScan, ReferenceVelocity, SteeringSample,
                           default_config, event_time)
-from radgrip.mhe import Estimator, replay_events
+from radgrip.mhe import (Estimator, SlidingWindow, WindowProblem,
+                         replay_events)
 from radgrip.zupt import (INITIAL_STANDSTILL, accel_magnitude_deviation,
-                          estimate_attitude, update_standstill,
-                          zv_residual)
+                          estimate_attitude, update_standstill)
 
 CFG = default_config()
 G = CFG.g
@@ -172,22 +172,35 @@ def test_standstill_gets_zupt_across_an_imu_gap():
     assert last.by == pytest.approx(spec.noise.imu_accel_bias[1], abs=0.02)
 
 
+def _zupt_rows(x, u):
+    """The ZUPT rows of WindowProblem.residuals, at unit weights, of a
+    one-state window whose state x is a ZUPT state with inputs u =
+    (ax, ay, r)."""
+    cfg = default_config()
+    cfg.covariances.Sigma_zv = np.ones(6)
+    win = SlidingWindow(cfg)
+    win.seed(0.0, (*u, 0.0))
+    win.X[0] = x
+    win.zv[0] = True
+    problem = WindowProblem(win, cfg.initial_params, cfg)
+    return problem.residuals(problem.z_init())[problem.slices["zupt"]]
+
+
 def test_zv_residual_exact_fit():
-    X = np.array([[0.0, 0.0, 0.0, 0.05, -0.02, 0.003]])
-    res = zv_residual(X, np.array([[0.05, -0.02, 0.003]]), np.ones(6))
+    res = _zupt_rows([0.0, 0.0, 0.0, 0.05, -0.02, 0.003],
+                     (0.05, -0.02, 0.003))
+    assert res.shape == (6,)
     assert np.allclose(res, 0.0)
 
 
 def test_zv_residual_bias_component():
-    res = zv_residual(np.zeros((1, 6)), np.array([[0.05, 0.0, 0.0]]),
-                      np.ones(6))
-    assert res[0, 3] == pytest.approx(-0.05)
+    res = _zupt_rows(np.zeros(6), (0.05, 0.0, 0.0))
+    assert res[3] == pytest.approx(-0.05)
 
 
 def test_zv_residual_velocity_component():
-    X = np.array([[0.2, 0.0, 0.0, 0.0, 0.0, 0.0]])
-    res = zv_residual(X, np.zeros((1, 3)), np.ones(6))
-    assert res[0, 0] == pytest.approx(0.2)
+    res = _zupt_rows([0.2, 0.0, 0.0, 0.0, 0.0, 0.0], (0.0, 0.0, 0.0))
+    assert res[0] == pytest.approx(0.2)
 
 
 def test_accel_magnitude_deviation():

@@ -1,6 +1,6 @@
 """Command-line entry points: `sim` generates scenario logs, `estimate`
-replays a log through the estimator, `metrics` scores an estimate against
-truth, and `bench` times the solver.
+replays a log through the estimator, `metrics` scores an estimate CSV
+against a truth CSV and reads no other file, and `bench` times the solver.
 
 Exit codes: 0 success, 1 usage, 2 I/O or unusable input file, 3 numeric or
 estimation failure.
@@ -188,7 +188,6 @@ def cmd_estimate(log_path: str, config_path: str | None, out_csv: str,
 class MetricsReport:
     channels: dict              # name -> {max_abs_err, rmse, samples}
     param_convergence_time: float | None
-    solve_time: dict | None
 
 
 # (channel, scored only above the lateral-force speed gate)
@@ -224,8 +223,9 @@ def compute_metrics(est_csv: str, truth_csv: str,
                     cfg: VehicleConfig) -> MetricsReport:
     """Nearest-neighbour alignment within 5 ms, then per-channel errors.
 
-    Slip and force channels are scored only where the truth speed exceeds
-    the gate and the estimate emitted a value; velocities everywhere.
+    Reads only its two CSVs; estimate and bench report solve timing.  Slip
+    and force channels are scored only where the truth speed exceeds the
+    gate and the estimate emitted a value; velocities everywhere.
     """
     names = ("t", *(name for name, _ in _METRIC_CHANNELS))
     est = _read_csv(est_csv, (*names, "BCD_f", "BCD_r"))
@@ -263,27 +263,7 @@ def compute_metrics(est_csv: str, truth_csv: str,
             "rmse": float(np.sqrt(np.mean(err * err))),
             "samples": int(mask.sum()),
         }
-    conv = _param_convergence_time(est)
-    solve_time = None
-    summary_path = est_csv + ".summary.json"
-    if os.path.exists(summary_path):
-        try:
-            with open(summary_path, "r", encoding="utf-8") as fh:
-                summary = json.load(fh)
-        except (OSError, ValueError) as e:
-            raise IoError(f"cannot read summary {summary_path!r}: {e}") from e
-        if not isinstance(summary, dict):
-            raise SchemaError(f"{summary_path}: not a JSON object")
-        solve_time = summary.get("solve_time")
-        if solve_time is not None and not (
-                isinstance(solve_time, dict)
-                and (not solve_time.get("count")
-                     or all(type(solve_time.get(k)) in (int, float)
-                            for k in ("mean_ms", "p99_ms", "max_ms")))):
-            raise SchemaError(f"{summary_path}: solve_time is neither null "
-                              f"nor an object with numeric mean_ms, p99_ms "
-                              f"and max_ms")
-    return MetricsReport(channels, conv, solve_time)
+    return MetricsReport(channels, _param_convergence_time(est))
 
 
 def _param_convergence_time(est: dict) -> float | None:
@@ -316,10 +296,6 @@ def cmd_metrics(est_csv: str, truth_csv: str, config_path: str | None,
     conv = report.param_convergence_time
     print(f"param convergence time: "
           f"{'n/a' if conv is None else f'{conv:.2f} s'}")
-    if report.solve_time and report.solve_time.get("count"):
-        st = report.solve_time
-        print(f"solve time: mean {st['mean_ms']:.2f} ms, "
-              f"p99 {st['p99_ms']:.2f} ms, max {st['max_ms']:.2f} ms")
     if json_out:
         try:
             with open(json_out, "w", encoding="utf-8") as fh:

@@ -141,9 +141,8 @@ class SteeringSample(NamedTuple):
 
 
 class ReferenceVelocity(NamedTuple):
-    """Optical-reference velocity channel: admitted, counted (ref_vel,
-    late_ref_vel) and advancing the state grid like any event, but no
-    value of it is read; metrics score against the truth CSV."""
+    """Optical-reference velocity channel: parsed and logged for scoring,
+    never fused; Estimator.attach ignores it."""
 
     t: float
     vx_ref: float

@@ -42,8 +42,8 @@ from scipy.linalg import cho_factor, cho_solve
 from radgrip import motion, tire, zupt
 from radgrip import radar as radar_mod
 from radgrip.core import (ImuSample, NumericError, RadarScan,
-                          ReferenceVelocity, StaleScanError, SteeringSample,
-                          VehicleConfig, WindowOrderError, event_time)
+                          StaleScanError, SteeringSample, VehicleConfig,
+                          WindowOrderError, event_time)
 from radgrip.motion import predict_array
 
 _T_EPS = 1e-9
@@ -438,9 +438,8 @@ def output_rows(t: np.ndarray, X: np.ndarray, U: np.ndarray, P: np.ndarray,
 # Event-driven estimator
 # ---------------------------------------------------------------------------
 
-# counter of an admitted event, and of one dropped as late, per event class
-_ADMITTED = {ImuSample: "imu", SteeringSample: "steering",
-             ReferenceVelocity: "ref_vel", RadarScan: "scans"}
+# counter of an admitted event, and of one dropped as late, per fused class
+_ADMITTED = {ImuSample: "imu", SteeringSample: "steering", RadarScan: "scans"}
 _LATE = {cls: "late_" + name for cls, name in _ADMITTED.items()}
 # counter of a Doppler point per gate rejection reason
 _REJECTED = {radar_mod.REJECT_ALIAS: "doppler_rejected_alias",
@@ -454,9 +453,10 @@ class Estimator:
     Feed events with process_event (in arrival order), then call finalize
     to flush the last window.  Output rows appear in `rows`, one per grid
     state, each carrying the final (smoothed) estimate that state had when
-    it left the window.  attach admits every event by one rule; each is
-    counted under its class (imu, steering, ref_vel, scans) or under the
-    reason it was dropped.
+    it left the window.  attach admits every event of a fused stream by
+    one rule; each is counted under its class (imu, steering, scans) or
+    under the reason it was dropped.  Any other event, such as the optical
+    reference, is ignored uncounted.
     """
 
     def __init__(self, cfg: VehicleConfig):
@@ -521,18 +521,21 @@ class Estimator:
     def attach(self, ev) -> bool:
         """Route one event into the window; True when a solve is due.
 
-        A stream is an event class, or a radar id for scans; an event's own
-        time is a scan's capture time, any other event's sample time.  The
-        first of these checks an event fails drops it, counted, before it
-        touches any state: a scan from a radar the config does not list
-        (unknown_radar_scans), a non-radar event older than the window
-        start (stale_events), an own time not after the newest admitted
-        one of its stream (late_imu, late_steering, late_ref_vel,
+        An event of a class not fused, such as the optical reference, is
+        ignored uncounted.  A stream is a fused event class, or a radar id
+        for scans; an event's own time is a scan's capture time, any other
+        event's sample time.  The first of these checks an event fails
+        drops it, counted, before it touches any state: a scan from a radar
+        the config does not list (unknown_radar_scans), a non-radar event
+        older than the window start (stale_events), an own time not after
+        the newest admitted one of its stream (late_imu, late_steering,
         late_scans).  An admitted scan captured before the window start
         binds nothing and is counted again in stale_scans.
         """
-        t_ev = event_time(ev)
         cls = type(ev)
+        if cls not in _ADMITTED:
+            return False
+        t_ev = event_time(ev)
         if cls is RadarScan:
             if not 0 <= ev.radar_id < len(self.cfg.radars):
                 self.counters["unknown_radar_scans"] += 1

@@ -123,8 +123,9 @@ def _estimate(tmp_path, name, lines):
 
 @pytest.fixture(scope="module")
 def unmodified_3s(tmp_path_factory):
-    """(log path, estimate CSV bytes, SHA-256 of repr of the final costs) of
-    the 3 s log as it is, from one cmd_estimate call per module."""
+    """(log path, estimate CSV bytes, SHA-256 of repr of the final costs,
+    counters) of the 3 s log as it is, from one cmd_estimate call per
+    module."""
     out = str(tmp_path_factory.mktemp("unmodified"))
     log = os.path.join(out, "log.jsonl")
     with open(log, "w", encoding="utf-8") as fh:
@@ -133,7 +134,8 @@ def unmodified_3s(tmp_path_factory):
     est = cli.cmd_estimate(log, None, csv, quiet=True)
     costs = repr([r.final_cost for r in est.reports])
     with open(csv, "rb") as fh:
-        return log, fh.read(), hashlib.sha256(costs.encode()).hexdigest()
+        return (log, fh.read(), hashlib.sha256(costs.encode()).hexdigest(),
+                est.counters)
 
 
 def test_unknown_radar_scan_is_counted_and_dropped(tmp_path):
@@ -188,15 +190,6 @@ def _late_steering(lines):
     return lines[:k] + [late] + lines[k:], lines
 
 
-def _late_ref_vel(lines):
-    """The reference sample at t = 2 s sent twice in a row, and the log as
-    it is."""
-    k = next(k for k, line in enumerate(lines)
-             if json.loads(line)["type"] == "ref_vel"
-             and json.loads(line)["t"] == 2.0)
-    return lines[:k + 1] + [lines[k]] + lines[k + 1:], lines
-
-
 def _late_scan(lines):
     """A radar scan sent twice in a row, and the log as it is."""
     i = [k for k, line in enumerate(lines) if '"radar"' in line][100]
@@ -208,10 +201,9 @@ def _late_scan(lines):
     (_stale_steering, "stale_events"),
     (_stale_imu, "stale_events"),
     (_late_steering, "late_steering"),
-    (_late_ref_vel, "late_ref_vel"),
     (_late_scan, "late_scans"),
 ], ids=["late_imu", "stale_steering", "stale_imu", "late_steering",
-        "late_ref_vel", "late_scan"])
+        "late_scan"])
 def test_dropped_event_is_counted_and_leaves_the_estimate(
         tmp_path, unmodified_3s, mutate, counter):
     lines = _lines_3s()
@@ -222,10 +214,21 @@ def test_dropped_event_is_counted_and_leaves_the_estimate(
                    else _estimate(tmp_path, "reference", reference)[0])
 
 
+def test_log_without_reference_channel_gives_the_same_estimate(
+        tmp_path, unmodified_3s):
+    # the optical reference is for scoring only: the estimator neither
+    # fuses nor counts it, so deleting it changes no output byte
+    lines = [line for line in _lines_3s()
+             if json.loads(line)["type"] != "ref_vel"]
+    csv, counters = _estimate(tmp_path, "no_ref_vel", lines)
+    assert csv == unmodified_3s[1]
+    assert counters == unmodified_3s[3]
+
+
 def test_bench_cost_digest_is_that_of_the_estimate(unmodified_3s, capsys):
     # bench and estimate are separate replays: equal digests show that
     # runs agree, and that bench hashes the costs and CSV estimate makes
-    log, csv, cost_sha256 = unmodified_3s
+    log, csv, cost_sha256, _ = unmodified_3s
     bench = cli.cmd_bench(log, None, 1)
     assert bench["cost_sha256"] == cost_sha256
     assert bench["rows_sha256"] == hashlib.sha256(csv).hexdigest()
@@ -284,12 +287,9 @@ def test_unusable_estimate_csv_exits_2_naming_file_and_column(
     assert est in err and named in err
 
 
-@pytest.mark.parametrize("summary", [
-    b"{bad", b"[1, 2]", b'{"solve_time": [1, 2]}',
-    b'{"solve_time": {"count": 3}}',
-], ids=["invalid_json", "not_an_object", "solve_time_not_an_object",
-        "solve_time_missing_mean"])
-def test_unusable_summary_exits_2_naming_it(tmp_path, capsys, summary):
+def test_metrics_reads_only_its_two_csvs(tmp_path):
+    # a corrupt estimate summary beside the CSV is not read: metrics
+    # scores the CSVs and reports no solve timing
     est = os.path.join(str(tmp_path), "est.csv")
     truth = os.path.join(str(tmp_path), "truth.csv")
     for path, columns in ((est, cli.ESTIMATE_CSV_COLUMNS),
@@ -298,6 +298,8 @@ def test_unusable_summary_exits_2_naming_it(tmp_path, capsys, summary):
             fh.write(",".join(columns) + "\n")
             fh.write(",".join("0" for _ in columns) + "\n")
     with open(est + ".summary.json", "wb") as fh:
-        fh.write(summary)
-    assert cli.main(["metrics", est, truth]) == 2
-    assert f"{est}.summary.json" in capsys.readouterr().err
+        fh.write(b"{bad")
+    metrics_json = os.path.join(str(tmp_path), "metrics.json")
+    assert cli.main(["metrics", est, truth, "--json", metrics_json]) == 0
+    with open(metrics_json) as fh:
+        assert set(json.load(fh)) == {"channels", "param_convergence_time"}

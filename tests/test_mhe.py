@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radgrip import mhe, tire
-from radgrip.core import (ImuSample, RadarPoint, RadarScan, SteeringSample,
-                          WindowOrderError, default_config, event_time,
-                          parse_event)
+from radgrip.core import (ImuSample, RadarPoint, RadarScan,
+                          ReferenceVelocity, SteeringSample, WindowOrderError,
+                          default_config, event_time, parse_event)
 from radgrip.mhe import (Estimator, SlidingWindow, SolveReport,
                          WindowProblem, output_rows, replay_events,
                          solve, solve_problem)
@@ -306,6 +306,28 @@ def test_attach_fully_gated_scan_does_not_trigger():
     assert trig is False
 
 
+def test_attach_ignores_the_reference_channel():
+    # the optical reference is for scoring only: fed before any other
+    # event, before the window start, twice at one time or ahead of every
+    # fused stream, it triggers no solve and changes no state or counter
+    est = Estimator(CFG)
+    assert est.attach(ReferenceVelocity(0.0, 10.0, 0.0)) is False
+    assert len(est.window.t) == 0 and not any(est.counters.values())
+    for ev in _mini_events(0.5):
+        est.process_event(ev)
+    w = est.window
+    t0, tn = w.t[0], w.t[-1]
+    for t in (t0 - 0.3, t0, tn, tn, tn + 1.0):
+        t_before, X_before = w.t.copy(), w.X.copy()
+        counters, solves = dict(est.counters), len(est.reports)
+        ref = ReferenceVelocity(t, 10.0, 0.0)
+        assert est.attach(ref) is False
+        est.process_event(ref)
+        assert est.window is w and len(est.reports) == solves
+        assert np.array_equal(w.t, t_before) and np.array_equal(w.X, X_before)
+        assert est.counters == counters
+
+
 def test_watchdog_solves_on_radar_silence():
     est = Estimator(CFG)
     t = 0.0
@@ -442,7 +464,8 @@ def _mutate(events, kind, where, amount):
 def test_mutated_event_stream_is_contained(mutations):
     # up to 3 duplicated, deleted, delayed, early-stamped or unknown-radar
     # events: the replay finishes with finite, strictly ordered rows, and
-    # every event is admitted or dropped with a reason, exactly once
+    # every fused event is admitted or dropped with a reason, exactly once,
+    # and no reference event is counted
     events = list(EVENTS_2S)
     for mutation in mutations:
         _mutate(events, *mutation)
@@ -452,7 +475,9 @@ def test_mutated_event_stream_is_contained(mutations):
     for name in ("t", "vx", "vy", "r", "bx", "by", "br", "BCD_f", "BCD_r"):
         assert np.all(np.isfinite([getattr(row, name) for row in est.rows]))
     c = est.counters
-    admitted = c["imu"] + c["steering"] + c["ref_vel"] + c["scans"]
+    admitted = c["imu"] + c["steering"] + c["scans"]
     dropped = (c["unknown_radar_scans"] + c["stale_events"] + c["late_imu"]
-               + c["late_steering"] + c["late_ref_vel"] + c["late_scans"])
-    assert admitted + dropped == len(events)
+               + c["late_steering"] + c["late_scans"])
+    reference = sum(isinstance(ev, ReferenceVelocity) for ev in events)
+    assert admitted + dropped + reference == len(events)
+    assert not any("ref_vel" in name for name in c)

@@ -50,16 +50,8 @@ class NumericError(EstimatorError):
     """A non-finite value appeared where finite arithmetic was required."""
 
 
-class WindowOrderError(EstimatorError):
-    """State timestamps in a window would become non-monotone."""
-
-
 class InsufficientDataError(EstimatorError):
     """Not enough samples to run the requested computation."""
-
-
-class StaleScanError(EstimatorError):
-    """A radar scan was captured before the current window begins."""
 
 
 class TruthDivergenceError(EstimatorError):

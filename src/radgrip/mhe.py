@@ -5,10 +5,11 @@ The window is held as arrays, one row per state, oldest first: times t,
 estimates X, inputs U, a grid flag and a ZUPT flag zv, plus one row per
 accepted Doppler observation in dop.  An input is carried as the U row it
 becomes, (ax, ay, r, delta), from the IMU sample to the output row, and a
-ZUPT state's targets are its own U row (ax, ay, r).  States enter every
-dt (10 ms default); a radar scan binds its Doppler rows to the state at
-its capture time, inserting one back in time when the capture instant
-falls between grid states.  The full problem is solved when a scan
+ZUPT state's targets are its own U row (ax, ay, r).  States enter by one
+way, SlidingWindow.push_state: the first event seeds the window, a grid
+state enters every dt (10 ms default), and a radar scan binds its Doppler
+rows to the state at its capture time, inserting one back in time when
+the capture instant falls between states.  The full problem is solved when a scan
 contributes at least one gated-in row, after which the window sheds its
 oldest rows.  Each solve's priors are centred on its entry iterate: the
 window's first state and the tire parameters of the previous solve.
@@ -42,8 +43,7 @@ from scipy.linalg import cho_factor, cho_solve
 from radgrip import motion, tire, zupt
 from radgrip import radar as radar_mod
 from radgrip.core import (ImuSample, NumericError, RadarScan,
-                          StaleScanError, SteeringSample, VehicleConfig,
-                          WindowOrderError, event_time)
+                          SteeringSample, VehicleConfig, event_time)
 from radgrip.motion import predict_array
 
 _T_EPS = 1e-9
@@ -62,14 +62,17 @@ class SlidingWindow:
       U (K, 4)   inputs [ax, ay, r, delta] governing [t_k, t_k+1) and the
                  models at t_k,
       grid (K,)  True for 10 ms grid states (output rows), False for states
-                 inserted at a scan's capture time,
+                 inserted only at a scan's capture time,
       zv (K,)    True for ZUPT states, whose targets are their own U row
                  (ax, ay, r): the state was at rest under that input.
     Each accepted Doppler observation is one row [t_state, v_r, cx, cy,
     lever] of dop (M, 5), bound to the state at t_state; its expected value
     is -(cx*vx + cy*vy + lever*r) and its deviation the configured
-    sigma_doppler.  Rows are added by concatenation, so every array is
-    replaced, never resized, when the window grows.
+    sigma_doppler.  push_state is the one way in: it returns the row of
+    the state at a time, inserting that state if none is there, so every
+    insertion keeps t strictly increasing.  Rows are added by
+    concatenation, so every array is replaced, never resized, when the
+    window grows.
     """
 
     def __init__(self, cfg: VehicleConfig):
@@ -84,61 +87,40 @@ class SlidingWindow:
     def _states(self):
         return self.t, self.X, self.U, self.grid, self.zv
 
-    def _keep(self, rows: slice) -> None:
-        self.t, self.X, self.U, self.grid, self.zv = (
-            a[rows] for a in self._states())
+    def push_state(self, t: float, u: tuple, grid: bool = True) -> int | None:
+        """Row of the state at time t, inserting one with U row u when no
+        state lies within _T_EPS of t; grid is OR-ed into that row's flag.
 
-    def _insert(self, i: int, t: float, x: np.ndarray, u: tuple,
-                grid: bool) -> None:
-        """Insert one state with U row u before row i (i = K appends)."""
-        row = (t, x, u, grid, False)
-        self.t, self.X, self.U, self.grid, self.zv = (
-            np.concatenate((a[:i], [v], a[i:]))
-            for a, v in zip(self._states(), row))
-
-    def seed(self, t: float, u: tuple) -> None:
-        """Restart the window with one grid state at the initial biases."""
-        x0 = np.zeros(6)
-        x0[3:6] = self.cfg.initial_biases
-        self._keep(slice(0))
-        self._insert(0, t, x0, u, True)
-
-    def _predict(self, t: float) -> np.ndarray:
-        """The newest state propagated to t under its own input."""
-        u = self.U[-1]
-        return predict_array(self.X[-1], u[0], u[1], u[2], t - self.t[-1])
-
-    def push_state(self, t: float, u: tuple) -> None:
-        """Append a grid state with U row u, predicted from the newest
-        one."""
-        if t - self.t[-1] <= _T_EPS:
-            raise WindowOrderError(
-                f"push at t={t} does not advance newest={self.t[-1]}")
-        self._insert(len(self.t), t, self._predict(t), u, True)
-
-    def ensure_state_at(self, t: float, u: tuple) -> np.ndarray:
-        """Current estimate of the state at time t, inserting one with U
-        row u if needed.
-
-        An inserted state is initialized by linear interpolation of its
-        neighbours (or prediction when beyond the newest state); process
-        residuals re-link across the split automatically.  Raises
-        StaleScanError when t predates the window.
+        An inserted state starts at the initial biases in an empty window,
+        at the newest state predicted to t under its own input beyond the
+        newest state, and at the linear interpolation of its neighbours
+        otherwise; process residuals re-link across the split.  Returns
+        None, inserting nothing, when t predates the window.
         """
-        if t < self.t[0] - _T_EPS:
-            raise StaleScanError(
-                f"state request at {t:.4f} predates window start "
-                f"{self.t[0]:.4f}")
-        i = int(np.searchsorted(self.t, t - _T_EPS))
-        if i < len(self.t) and abs(self.t[i] - t) <= _T_EPS:
-            return self.X[i]
-        if i == len(self.t):
-            x = self._predict(t)
+        K = len(self.t)
+        # appending is the common case, so it skips the search
+        if K and t - self.t[-1] > _T_EPS:
+            i = K
+        elif K and t < self.t[0] - _T_EPS:
+            return None
+        else:
+            i = int(np.searchsorted(self.t, t - _T_EPS))
+            if i < K and abs(self.t[i] - t) <= _T_EPS:
+                self.grid[i] |= grid
+                return i
+        if not K:
+            x = np.zeros(6)
+            x[3:6] = self.cfg.initial_biases
+        elif i == K:
+            ax, ay, r, _ = self.U[-1]
+            x = predict_array(self.X[-1], ax, ay, r, t - self.t[-1])
         else:
             w = (t - self.t[i - 1]) / (self.t[i] - self.t[i - 1])
             x = (1.0 - w) * self.X[i - 1] + w * self.X[i]
-        self._insert(i, t, x, u, False)
-        return x
+        self.t, self.X, self.U, self.grid, self.zv = (
+            np.concatenate((a[:i], [v], a[i:]))
+            for a, v in zip(self._states(), (t, x, u, grid, False)))
+        return i
 
     def shift(self):
         """Evict states until the span fits the horizon.
@@ -151,7 +133,8 @@ class SlidingWindow:
         g = self.grid[:n]
         evicted = self.t[:n][g], self.X[:n][g], self.U[:n][g]
         if n:
-            self._keep(slice(n, None))
+            self.t, self.X, self.U, self.grid, self.zv = (
+                a[n:] for a in self._states())
             self.dop = self.dop[self.dop[:, 0] >= self.t[0] - _T_EPS]
         return evicted
 
@@ -332,8 +315,6 @@ class SolveReport:
     wall_time: float
     termination: str
     breakdown: dict
-    t: float = 0.0
-    trigger: str = "radar"
     n_states: int = 0
     n_doppler: int = 0
 
@@ -544,7 +525,7 @@ class Estimator:
         else:
             stream, t_own = cls, t_ev
         if not len(self.window.t):
-            self.window.seed(t_ev, self._current_input(t_ev))
+            self.window.push_state(t_ev, self._current_input(t_ev))
             self._next_grid_t = t_ev + self.cfg.thresholds.dt
             self._last_solve_t = t_ev
         elif cls is not RadarScan and t_ev < self.window.t[0] - _T_EPS:
@@ -561,32 +542,31 @@ class Estimator:
             self._note_steering(ev)
         self._advance_grid(t_ev)
         # a watchdog solve in the advance can shift the window past a
-        # scan's capture, so the stale-scan test comes after it
+        # scan's capture, so the capture is pushed after it
         return cls is RadarScan and self._attach_scan(ev)
 
     def _advance_grid(self, t: float) -> None:
         dt = self.cfg.thresholds.dt
         while self._next_grid_t <= t + _T_EPS:
             tg = self._next_grid_t
-            u = self._current_input(tg)
-            self.window.push_state(tg, u)
+            i = self.window.push_state(tg, self._current_input(tg))
             if self._standstill.stationary:
-                self.window.zv[-1] = True
+                self.window.zv[i] = True
                 self.counters["zv_states"] += 1
             self._next_grid_t = tg + dt
             if (tg - self._last_solve_t
                     >= self.cfg.thresholds.watchdog_period - _T_EPS):
-                self._solve_and_shift(tg, "watchdog")
+                self._solve_and_shift(tg, watchdog=True)
 
     def _attach_scan(self, scan: RadarScan) -> bool:
         t_cap = scan.t_capture
-        try:
-            x_cap = self.window.ensure_state_at(t_cap,
-                                                self._current_input(t_cap))
-        except StaleScanError:
+        i = self.window.push_state(t_cap, self._current_input(t_cap),
+                                   grid=False)
+        if i is None:
             self.counters["stale_scans"] += 1
             return False
-        rows, rejected = radar_mod.scan_to_factors(scan, x_cap, self.cfg)
+        rows, rejected = radar_mod.scan_to_factors(scan, self.window.X[i],
+                                                   self.cfg)
         self.window.dop = np.concatenate((self.window.dop, rows))
         self.counters["doppler_accepted"] += len(rows)
         self.counters["doppler_rejected"] += len(rejected)
@@ -596,17 +576,14 @@ class Estimator:
 
     def process_event(self, ev) -> None:
         if self.attach(ev):
-            self._solve_and_shift(event_time(ev), "radar")
+            self._solve_and_shift(event_time(ev))
             self._have_fix = True
 
-    def _solve_and_shift(self, t: float, trigger: str) -> None:
+    def _solve_and_shift(self, t: float, watchdog: bool = False) -> None:
         self.P, report = solve(self.window, self.P, self.cfg)
-        report.t = t
-        report.trigger = trigger
         self.reports.append(report)
         self.counters["solves"] += 1
-        if trigger == "watchdog":
-            self.counters["watchdog_solves"] += 1
+        self.counters["watchdog_solves"] += watchdog
         self._emit(*self.window.shift())
         self._last_solve_t = t
 

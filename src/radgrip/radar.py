@@ -92,8 +92,8 @@ def scan_to_factors(scan: RadarScan, x_cap: np.ndarray,
     ext = cfg.radars[scan.radar_id]
     if not scan.points:
         return np.empty((0, 5)), np.empty(0, dtype=object)
-    pts = np.array([(p.azimuth, p.elevation, p.doppler, p.snr)
-                    for p in scan.points])
+    # columns azimuth, elevation, doppler, snr of RadarPoint
+    pts = np.array(scan.points)[:, 1:]
     cx, cy, lever = body_projection(ext, bearing_vectors(pts[:, 0],
                                                          pts[:, 1]))
     v_e = expected_doppler(x_cap, cx, cy, lever)

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from radgrip import mhe, tire
 from radgrip.core import (ImuSample, RadarPoint, RadarScan,
-                          ReferenceVelocity, SteeringSample, WindowOrderError,
-                          default_config, event_time, parse_event)
+                          ReferenceVelocity, SteeringSample, default_config,
+                          event_time, parse_event)
 from radgrip.mhe import (Estimator, SlidingWindow, SolveReport,
                          WindowProblem, output_rows, replay_events,
                          solve, solve_problem)
+from radgrip.motion import predict_array
 from radgrip.radar import (bearing_vectors, body_projection,
                            expected_doppler, scan_to_factors)
 from radgrip.simgen import P_TRUTH_DEFAULT, wrap
@@ -45,15 +46,15 @@ ZERO_U = (0.0, 0.0, 0.0, 0.0)     # U row: no acceleration, yaw or steer
 
 def _attach(win, scan):
     """Bind a scan's Doppler rows to the window as the estimator does."""
-    x = win.ensure_state_at(scan.t_capture, ZERO_U)
-    rows, _ = scan_to_factors(scan, x, CFG)
+    i = win.push_state(scan.t_capture, ZERO_U, grid=False)
+    rows, _ = scan_to_factors(scan, win.X[i], CFG)
     win.dop = np.concatenate((win.dop, rows))
 
 
 def _cruise_window(vx=15.0, n=15, with_scans=3):
     """Window at exact constant-velocity truth with exact Doppler factors."""
     win = SlidingWindow(CFG)
-    win.seed(0.0, ZERO_U)
+    win.push_state(0.0, ZERO_U)
     win.X[0, 0] = vx
     for k in range(1, n):
         win.push_state(k * DT, ZERO_U)
@@ -72,15 +73,16 @@ def _cruise_window(vx=15.0, n=15, with_scans=3):
 
 def test_seed_bootstrap():
     win = SlidingWindow(CFG)
-    win.seed(0.0, ZERO_U)
+    assert win.push_state(0.0, ZERO_U) == 0
     assert len(win.t) == 1
+    assert win.grid[0] and not win.zv[0]
     assert np.allclose(win.X[0, :3], 0.0)
     assert np.allclose(win.X[0, 3:], CFG.initial_biases)
 
 
 def test_push_state_span_tracks_horizon():
     win = SlidingWindow(CFG)
-    win.seed(0.0, ZERO_U)
+    win.push_state(0.0, ZERO_U)
     for k in range(1, 15):
         win.push_state(k * DT, ZERO_U)
     assert win.t[-1] - win.t[0] == pytest.approx(0.14)
@@ -89,11 +91,61 @@ def test_push_state_span_tracks_horizon():
 
 
 def test_push_state_order_guard():
+    # a second push at an existing time returns that row, adds no state
+    # and leaves its estimate as it was
     win = SlidingWindow(CFG)
-    win.seed(0.0, ZERO_U)
+    win.push_state(0.0, ZERO_U)
     win.push_state(DT, ZERO_U)
-    with pytest.raises(WindowOrderError):
-        win.push_state(DT, ZERO_U)
+    X0 = win.X.copy()
+    assert win.push_state(DT, ZERO_U) == 1
+    assert win.push_state(DT + 0.5e-9, (1.0, 2.0, 3.0, 4.0)) == 1
+    assert win.t.tolist() == [0.0, DT]
+    assert np.array_equal(win.X, X0)
+    assert np.array_equal(win.U, np.zeros((2, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(
+    st.one_of(st.floats(-0.05, 0.2), st.integers(0, 40)),
+    st.sampled_from([-1.5e-9, -0.9e-9, 0.0, 0.9e-9, 1.5e-9]), st.booleans()),
+    max_size=25))
+def test_push_state_keeps_one_state_per_time(pushes):
+    # pushes in any order around a seeded window, each at a float time or
+    # next to an existing state (integer k: the time of state k):
+    # no process residual is ever formed over dt <= 0
+    eps = mhe._T_EPS
+    win = SlidingWindow(CFG)
+    win.push_state(0.0, (0.5, -0.3, 0.1, 0.0))
+    win.X[0, :3] = (10.0, 0.5, 0.1)
+    for when, jitter, grid in pushes:
+        t = (when if isinstance(when, float)
+             else win.t[min(when, len(win.t) - 1)]) + jitter
+        u = (t, -t, 0.2, 0.01)
+        t0, X0, U0, g0 = (a.copy() for a in (win.t, win.X, win.U, win.grid))
+        i = win.push_state(t, u, grid)
+        near = np.flatnonzero(np.abs(t0 - t) <= eps)
+        if t < t0[0] - eps:
+            assert i is None
+            assert np.array_equal(win.t, t0) and np.array_equal(win.X, X0)
+        elif len(near):
+            assert i == near[0]
+            assert np.array_equal(win.t, t0) and np.array_equal(win.X, X0)
+            assert np.array_equal(win.U, U0)
+            assert win.grid[i] == (g0[i] or grid)
+            assert np.array_equal(np.delete(win.grid, i), np.delete(g0, i))
+        else:
+            assert win.t[i] == t and win.grid[i] == grid and not win.zv[i]
+            assert tuple(win.U[i]) == u
+            for a, a0 in ((win.t, t0), (win.X, X0), (win.U, U0),
+                          (win.grid, g0)):
+                assert np.array_equal(np.delete(a, i, axis=0), a0)
+            if i == len(t0):
+                x = predict_array(X0[-1], *U0[-1, :3], t - t0[-1])
+            else:
+                w = (t - t0[i - 1]) / (t0[i] - t0[i - 1])
+                x = (1.0 - w) * X0[i - 1] + w * X0[i]
+            assert np.allclose(win.X[i], x, rtol=0.0, atol=1e-12)
+        assert np.all(np.diff(win.t) > eps)
 
 
 def test_solve_noiseless_truth_initialized():
@@ -161,7 +213,7 @@ def test_solve_clamps_params_into_box():
 
 def test_shift_span_arithmetic():
     win = SlidingWindow(CFG)
-    win.seed(0.0, ZERO_U)
+    win.push_state(0.0, ZERO_U)
     for k in range(1, 18):
         win.push_state(k * DT, ZERO_U)
     assert win.t[-1] - win.t[0] == pytest.approx(0.17)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from radgrip.core import NumericError, WindowOrderError, default_config
+from radgrip.core import NumericError, default_config
 from radgrip.mhe import SlidingWindow, WindowProblem
 from radgrip.motion import (predict_array, process_residual,
                             transition_jacobian)
@@ -104,10 +104,10 @@ def test_process_residual_whitening():
     cfg.covariances.Sigma_w = np.array([0.01, 1.0, 1.0, 1.0, 1.0, 1.0])
     win = SlidingWindow(cfg)
     u = (0.0, 0.0, 0.0, 0.0)
-    win.seed(0.0, u)
+    win.push_state(0.0, u)
     win.X[0, 0] = 5.0
     win.push_state(0.01, u)
-    win.ensure_state_at(0.015, u)
+    win.push_state(0.015, u, grid=False)
     win.X[1:, 0] += 0.1
     problem = WindowProblem(win, cfg.initial_params, cfg)
     res = problem.residuals(problem.z_init())[problem.slices["process"]]
@@ -122,20 +122,25 @@ def test_process_residual_whitening():
 
 
 def test_process_residual_rejects_nonpositive_dt():
-    # the window refuses a state that does not advance time, so no process
-    # residual is ever formed over dt <= 0
-    win = SlidingWindow(default_config())
+    # a push at an existing time returns that state's row and adds none,
+    # so no process residual is ever formed over dt <= 0
+    cfg = default_config()
+    win = SlidingWindow(cfg)
     u = (0.0, 0.0, 0.0, 0.0)
-    win.seed(0.0, u)
-    with pytest.raises(WindowOrderError):
-        win.push_state(0.0, u)
+    win.push_state(0.0, u)
+    assert win.push_state(0.0, u) == 0
+    assert win.push_state(0.0, u, grid=False) == 0
+    assert len(win.t) == 1
+    problem = WindowProblem(win, cfg.initial_params, cfg)
+    assert len(problem.residuals(problem.z_init())[
+        problem.slices["process"]]) == 0
 
 
 def test_nonfinite_state_raises_numeric_error():
     cfg = default_config()
     win = SlidingWindow(cfg)
     u = (0.0, 0.0, 0.0, 0.0)
-    win.seed(0.0, u)
+    win.push_state(0.0, u)
     win.push_state(0.01, u)
     win.X[0, 0] = float("nan")
     problem = WindowProblem(win, cfg.initial_params, cfg)

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from radgrip.core import (ImuSample, RadarPoint, RadarScan, StaleScanError,
-                          default_config)
+from radgrip.core import ImuSample, RadarPoint, RadarScan, default_config
 from radgrip.mhe import Estimator, SlidingWindow
 from radgrip.radar import (REJECT_ALIAS, REJECT_INNOVATION, REJECT_LOW_SNR,
                            bearing_vectors, body_projection, dealias,
@@ -205,7 +204,7 @@ def test_gate_monotone_in_snr():
 def _window_at_speed(vx, t_end=1.0):
     win = SlidingWindow(CFG)
     u = (0.0, 0.0, 0.0, 0.0)
-    win.seed(0.0, u)
+    win.push_state(0.0, u)
     win.X[0, 0] = vx
     t = CFG.thresholds.dt
     while t <= t_end + 1e-9:
@@ -222,9 +221,8 @@ def _bind(win, scan):
     """Doppler rows of a scan at the window state at its capture time,
     inserted as the estimator does."""
     t = scan.t_capture
-    rows, _ = scan_to_factors(
-        scan, win.ensure_state_at(t, (0.0, 0.0, 0.0, 0.0)),
-        CFG)
+    i = win.push_state(t, (0.0, 0.0, 0.0, 0.0), grid=False)
+    rows, _ = scan_to_factors(scan, win.X[i], CFG)
     return rows
 
 
@@ -275,10 +273,23 @@ def test_scan_fully_gated_yields_no_factors():
 
 
 def test_stale_scan_rejected():
+    # a capture before the window start has no state to bind to: the
+    # window returns None and inserts nothing
     win = _window_at_speed(20.0)
+    t0 = win.t.copy()
+    assert win.push_state(win.t[0] - 0.2, (0.0, 0.0, 0.0, 0.0),
+                          grid=False) is None
+    assert np.array_equal(win.t, t0)
+    # the estimator counts such a scan in stale_scans
+    est = Estimator(CFG)
+    est.attach(ImuSample(0.0, 0.0, 0.0, 0.0))
+    est.attach(ImuSample(1.0, 0.0, 0.0, 0.0))
+    t0 = est.window.t.copy()
+    assert t0[0] > 0.5
     pts = [RadarPoint(10.0, 0.0, 0.0, 0.0, 25.0)]
-    with pytest.raises(StaleScanError):
-        _bind(win, _scan(pts, win.t[0] - 0.2, win.t[-1]))
+    assert est.attach(_scan(pts, 0.5, 1.0)) is False
+    assert est.counters["stale_scans"] == 1
+    assert np.array_equal(est.window.t, t0)
 
 
 def _residual(row, x, sigma=None):

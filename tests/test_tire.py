@@ -24,7 +24,7 @@ def _x(vx, vy=0.0, r=0.0):
 def _window(vx, ax=0.0, ay=0.0, delta=0.0, cfg=CFG):
     """Two-state window at constant speed with the given inputs."""
     win = SlidingWindow(cfg)
-    win.seed(0.0, (ax, ay, 0.0, delta))
+    win.push_state(0.0, (ax, ay, 0.0, delta))
     win.X[0, 0] = vx
     win.push_state(0.01, (ax, ay, 0.0, delta))
     return win

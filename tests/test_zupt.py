@@ -179,7 +179,7 @@ def _zupt_rows(x, u):
     cfg = default_config()
     cfg.covariances.Sigma_zv = np.ones(6)
     win = SlidingWindow(cfg)
-    win.seed(0.0, (*u, 0.0))
+    win.push_state(0.0, (*u, 0.0))
     win.X[0] = x
     win.zv[0] = True
     problem = WindowProblem(win, cfg.initial_params, cfg)

@@ -417,7 +417,3 @@ def main(argv=None) -> int:
     except EstimatorError as e:
         print(f"estimation error: {e}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -134,7 +134,7 @@ class SteeringSample(NamedTuple):
 
 class ReferenceVelocity(NamedTuple):
     """Optical-reference velocity channel: parsed and logged for scoring,
-    never fused; Estimator.attach ignores it."""
+    never fused; Estimator.process_event ignores it."""
 
     t: float
     vx_ref: float

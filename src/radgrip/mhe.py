@@ -5,14 +5,14 @@ The window is held as arrays, one row per state, oldest first: times t,
 estimates X, inputs U, a grid flag and a ZUPT flag zv, plus one row per
 accepted Doppler observation in dop.  An input is carried as the U row it
 becomes, (ax, ay, r, delta), from the IMU sample to the output row, and a
-ZUPT state's targets are its own U row (ax, ay, r).  States enter by one
-way, SlidingWindow.push_state: the first event seeds the window, a grid
-state enters every dt (10 ms default), and a radar scan binds its Doppler
-rows to the state at its capture time, inserting one back in time when
-the capture instant falls between states.  The full problem is solved when a scan
-contributes at least one gated-in row, after which the window sheds its
-oldest rows.  Each solve's priors are centred on its entry iterate: the
-window's first state and the tire parameters of the previous solve.
+ZUPT state's targets are its own U row (ax, ay, r).  Events enter by
+Estimator.process_event and states by SlidingWindow.push_state: the first
+event seeds the window, a grid state enters every dt (10 ms default), and
+a scan binds its Doppler rows to the state at its capture time, which is
+inserted if none is there.  A scan that binds at least one gated-in
+row triggers a solve of the full problem, after which the window sheds
+its oldest rows.  Each solve's priors are centred on its entry iterate:
+the window's first state and the tire parameters of the previous solve.
 
 The solver takes at most solver.max_iterations (default 1) Gauss-Newton
 steps on the dense window problem, so the estimate never depends on the
@@ -419,25 +419,29 @@ def output_rows(t: np.ndarray, X: np.ndarray, U: np.ndarray, P: np.ndarray,
 # Event-driven estimator
 # ---------------------------------------------------------------------------
 
-# counter of an admitted event, and of one dropped as late, per fused class
+# admitted-event counter per fused class; "late_" + it counts a late one
 _ADMITTED = {ImuSample: "imu", SteeringSample: "steering", RadarScan: "scans"}
-_LATE = {cls: "late_" + name for cls, name in _ADMITTED.items()}
-# counter of a Doppler point per gate rejection reason
-_REJECTED = {radar_mod.REJECT_ALIAS: "doppler_rejected_alias",
-             radar_mod.REJECT_LOW_SNR: "doppler_rejected_low_snr",
-             radar_mod.REJECT_INNOVATION: "doppler_rejected_innovation"}
 
 
 class Estimator:
     """Single-sequence estimation pipeline over a time-ordered event stream.
 
-    Feed events with process_event (in arrival order), then call finalize
-    to flush the last window.  Output rows appear in `rows`, one per grid
-    state, each carrying the final (smoothed) estimate that state had when
-    it left the window.  attach admits every event of a fused stream by
-    one rule; each is counted under its class (imu, steering, scans) or
-    under the reason it was dropped.  Any other event, such as the optical
-    reference, is ignored uncounted.
+    Feed events with process_event (in arrival order), the one way an
+    event enters, then call finalize to flush the last window.  Output
+    rows appear in `rows`, one per grid state, each carrying the final
+    (smoothed) estimate that state had when it left the window.
+
+    counters, in order, move by one: imu, steering, scans per admitted
+    event of the class; late_imu, late_steering, late_scans per one
+    dropped as not after its stream's newest; unknown_radar_scans per scan
+    of a radar not configured; stale_events per IMU or steering sample
+    before the window start; stale_scans per admitted scan captured before
+    it, which binds nothing; doppler_accepted per point bound as a Doppler
+    row; doppler_rejected per point the gate rejects, and by its reason
+    doppler_rejected_alias, doppler_rejected_low_snr or
+    doppler_rejected_innovation; zv_states per ZUPT grid state; solves per
+    window solve; watchdog_solves per solve after watchdog_period without
+    one; delta_clamped per steering sample clamped to delta_max.
     """
 
     def __init__(self, cfg: VehicleConfig):
@@ -449,10 +453,11 @@ class Estimator:
         self.rows: list[OutputRow] = []
         self.reports: list[SolveReport] = []
         self.counters = dict.fromkeys((
-            *_ADMITTED.values(), *_LATE.values(), "unknown_radar_scans",
-            "stale_events", "stale_scans", "doppler_accepted",
-            "doppler_rejected", *_REJECTED.values(), "zv_states", "solves",
-            "watchdog_solves", "delta_clamped"), 0)
+            *_ADMITTED.values(), *("late_" + n for n in _ADMITTED.values()),
+            "unknown_radar_scans", "stale_events", "stale_scans",
+            "doppler_accepted", "doppler_rejected",
+            *("doppler_rejected_" + r for r in radar_mod.REJECT_REASONS),
+            "zv_states", "solves", "watchdog_solves", "delta_clamped"), 0)
         # own time of the newest admitted event per stream: an event class,
         # or a radar id for scans
         self._newest: dict = {}
@@ -460,7 +465,6 @@ class Estimator:
         self._input_hist: deque[tuple[float, tuple]] = deque()
         self._latest_delta = 0.0
         self._standstill = zupt.INITIAL_STANDSTILL
-        self._have_fix = False
         self._next_grid_t: float | None = None
         self._last_solve_t: float | None = None
 
@@ -482,13 +486,11 @@ class Estimator:
         # sample at or before it is the oldest one needed
         while len(hist) > 1 and hist[1][0] <= self.window.t[0]:
             hist.popleft()
-        # the detector has no speed until the first radar fix
-        speed = (math.hypot(*self.window.X[-1, :2]) if self._have_fix
-                 else None)
-        comp = zupt.accel_magnitude_deviation(ev.ax, ev.ay, ev.az,
-                                              self.cfg.g)
+        # no speed until the first radar fix: accepted rows are solved at once
+        speed = (math.hypot(*self.window.X[-1, :2])
+                 if self.counters["doppler_accepted"] else None)
         self._standstill = zupt.update_standstill(self._standstill, speed,
-                                                  comp, ev.t, self.cfg)
+                                                  ev, self.cfg)
 
     def _note_steering(self, ev: SteeringSample) -> None:
         delta = ev.delta / self.cfg.steering_ratio
@@ -499,8 +501,8 @@ class Estimator:
 
     # -- event ingestion ---------------------------------------------------
 
-    def attach(self, ev) -> bool:
-        """Route one event into the window; True when a solve is due.
+    def process_event(self, ev) -> None:
+        """Admit one event into the window; solve if a scan binds Doppler rows.
 
         An event of a class not fused, such as the optical reference, is
         ignored uncounted.  A stream is a fused event class, or a radar id
@@ -515,12 +517,12 @@ class Estimator:
         """
         cls = type(ev)
         if cls not in _ADMITTED:
-            return False
+            return
         t_ev = event_time(ev)
         if cls is RadarScan:
             if not 0 <= ev.radar_id < len(self.cfg.radars):
                 self.counters["unknown_radar_scans"] += 1
-                return False
+                return
             stream, t_own = ev.radar_id, ev.t_capture
         else:
             stream, t_own = cls, t_ev
@@ -530,10 +532,10 @@ class Estimator:
             self._last_solve_t = t_ev
         elif cls is not RadarScan and t_ev < self.window.t[0] - _T_EPS:
             self.counters["stale_events"] += 1
-            return False
+            return
         if t_own <= self._newest.get(stream, -math.inf):
-            self.counters[_LATE[cls]] += 1
-            return False
+            self.counters["late_" + _ADMITTED[cls]] += 1
+            return
         self._newest[stream] = t_own
         self.counters[_ADMITTED[cls]] += 1
         if cls is ImuSample:
@@ -541,9 +543,24 @@ class Estimator:
         elif cls is SteeringSample:
             self._note_steering(ev)
         self._advance_grid(t_ev)
+        if cls is not RadarScan:
+            return
         # a watchdog solve in the advance can shift the window past a
         # scan's capture, so the capture is pushed after it
-        return cls is RadarScan and self._attach_scan(ev)
+        i = self.window.push_state(t_own, self._current_input(t_own),
+                                   grid=False)
+        if i is None:
+            self.counters["stale_scans"] += 1
+            return
+        rows, rejected = radar_mod.scan_to_factors(ev, self.window.X[i],
+                                                   self.cfg)
+        self.window.dop = np.concatenate((self.window.dop, rows))
+        self.counters["doppler_accepted"] += len(rows)
+        self.counters["doppler_rejected"] += len(rejected)
+        for reason in rejected:
+            self.counters["doppler_rejected_" + reason] += 1
+        if len(rows):
+            self._solve_and_shift(t_ev)
 
     def _advance_grid(self, t: float) -> None:
         dt = self.cfg.thresholds.dt
@@ -558,42 +575,19 @@ class Estimator:
                     >= self.cfg.thresholds.watchdog_period - _T_EPS):
                 self._solve_and_shift(tg, watchdog=True)
 
-    def _attach_scan(self, scan: RadarScan) -> bool:
-        t_cap = scan.t_capture
-        i = self.window.push_state(t_cap, self._current_input(t_cap),
-                                   grid=False)
-        if i is None:
-            self.counters["stale_scans"] += 1
-            return False
-        rows, rejected = radar_mod.scan_to_factors(scan, self.window.X[i],
-                                                   self.cfg)
-        self.window.dop = np.concatenate((self.window.dop, rows))
-        self.counters["doppler_accepted"] += len(rows)
-        self.counters["doppler_rejected"] += len(rejected)
-        for reason in rejected:
-            self.counters[_REJECTED[reason]] += 1
-        return bool(len(rows))
-
-    def process_event(self, ev) -> None:
-        if self.attach(ev):
-            self._solve_and_shift(event_time(ev))
-            self._have_fix = True
-
     def _solve_and_shift(self, t: float, watchdog: bool = False) -> None:
         self.P, report = solve(self.window, self.P, self.cfg)
         self.reports.append(report)
         self.counters["solves"] += 1
         self.counters["watchdog_solves"] += watchdog
-        self._emit(*self.window.shift())
+        self.rows += output_rows(*self.window.shift(), self.P, self.cfg)
         self._last_solve_t = t
-
-    def _emit(self, t, X, U) -> None:
-        self.rows += output_rows(t, X, U, self.P, self.cfg)
 
     def finalize(self) -> None:
         """Flush rows for grid states still inside the window."""
         w = self.window
-        self._emit(w.t[w.grid], w.X[w.grid], w.U[w.grid])
+        self.rows += output_rows(w.t[w.grid], w.X[w.grid], w.U[w.grid],
+                                 self.P, self.cfg)
         self.window = SlidingWindow(self.cfg)
 
 

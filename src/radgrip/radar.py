@@ -14,9 +14,11 @@ import numpy as np
 
 from radgrip.core import RadarExtrinsics, RadarScan, VehicleConfig
 
-REJECT_ALIAS = "Alias"
-REJECT_LOW_SNR = "LowSNR"
-REJECT_INNOVATION = "Innovation"
+# gate rejection reasons, each the suffix of a doppler_rejected_ counter
+REJECT_ALIAS = "alias"
+REJECT_LOW_SNR = "low_snr"
+REJECT_INNOVATION = "innovation"
+REJECT_REASONS = (REJECT_ALIAS, REJECT_LOW_SNR, REJECT_INNOVATION)
 
 
 def bearing_vectors(azimuth, elevation) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""The standstill detector, which marks the ZUPT states that anchor the
-IMU biases, plus estimate_attitude, which only perfbench still pins.
+"""The standstill detector, which reads each IMU sample and the estimated
+speed to mark the ZUPT states that anchor the IMU biases, plus
+estimate_attitude, which only perfbench still pins.
 
 Conventions: body z is up and a resting accelerometer reads +g on its up
 axis.  mhe.WindowProblem pins a ZUPT state to (0, 0, 0, ax, ay, r), from
@@ -36,21 +37,22 @@ INITIAL_STANDSTILL = StandstillStatus(False, None)
 
 
 def update_standstill(status: StandstillStatus, speed_est: float | None,
-                      accel_mag_comp: float, t: float,
-                      cfg: VehicleConfig) -> StandstillStatus:
-    """Advance the standstill detector by one sample.
+                      imu: ImuSample, cfg: VehicleConfig) -> StandstillStatus:
+    """Advance the standstill detector by one IMU sample.
 
-    Both the speed and the gravity-compensated acceleration magnitude must
-    stay under their thresholds continuously for T_stop; any violation (or
-    a missing speed estimate) restarts the run at the current time.
+    Both the speed and the sample's gravity-compensated acceleration
+    magnitude |‖a‖ - g|, attitude-free with a missing az read as level,
+    must stay under their thresholds continuously for T_stop; any violation
+    (or a missing speed estimate) restarts the run at the sample's time.
     """
     th = cfg.thresholds
+    ax, ay, az = imu.ax, imu.ay, (cfg.g if imu.az is None else imu.az)
     ok = (speed_est is not None and speed_est < th.V_min
-          and accel_mag_comp < th.A_min)
+          and abs(math.sqrt(ax * ax + ay * ay + az * az) - cfg.g) < th.A_min)
     if not ok:
-        return StandstillStatus(False, t)
-    since = status.since if status.since is not None else t
-    return StandstillStatus(t - since >= th.T_stop, since)
+        return StandstillStatus(False, imu.t)
+    since = status.since if status.since is not None else imu.t
+    return StandstillStatus(imu.t - since >= th.T_stop, since)
 
 
 def estimate_attitude(imu_window: Sequence[ImuSample],
@@ -80,12 +82,3 @@ def estimate_attitude(imu_window: Sequence[ImuSample],
     up = acc.mean(axis=0)
     up /= np.linalg.norm(up)
     return -cfg.g * up
-
-
-def accel_magnitude_deviation(ax: float, ay: float, az: float | None,
-                              g: float) -> float:
-    """|‖a‖ - g|: gravity-compensated acceleration magnitude used by the
-    standstill detector (attitude-free; az defaults to a level vehicle)."""
-    if az is None:
-        az = g
-    return abs(math.sqrt(ax * ax + ay * ay + az * az) - g)

@@ -2,6 +2,8 @@ import gzip
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +85,25 @@ def test_usage_errors_exit_1(tmp_path):
     assert cli.main(["bench", "unused.jsonl", "--repetitions", "0"]) == 1
     assert cli.main(["sim", "standstill", "--seed", "-1",
                      "--out", str(tmp_path)]) == 1
+
+
+def test_python_m_radgrip_runs_the_cli():
+    # the package's entry point: a usage error exits 1, --help exits 0
+    # naming the four commands
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "radgrip", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    bare = run()
+    assert bare.returncode == 1 and "usage error:" in bare.stderr
+    helped = run("--help")
+    assert helped.returncode == 0
+    assert "{sim,estimate,metrics,bench}" in helped.stdout
 
 
 def test_missing_log_exits_2(tmp_path):

@@ -334,6 +334,19 @@ def _mini_events(duration=1.0, vx=0.0):
     return events
 
 
+def test_counter_names_are_pinned():
+    # the estimate summary JSON, perfbench and the tests read the counters
+    # by name, so the derived names must keep each name and their order
+    assert list(Estimator(default_config()).counters.items()) == [
+        (name, 0) for name in (
+            "imu", "steering", "scans", "late_imu", "late_steering",
+            "late_scans", "unknown_radar_scans", "stale_events",
+            "stale_scans", "doppler_accepted", "doppler_rejected",
+            "doppler_rejected_alias", "doppler_rejected_low_snr",
+            "doppler_rejected_innovation", "zv_states", "solves",
+            "watchdog_solves", "delta_clamped")]
+
+
 def test_attach_radar_triggers_solve():
     est = Estimator(CFG)
     for ev in _mini_events(0.3):
@@ -344,18 +357,19 @@ def test_attach_radar_triggers_solve():
 
 def test_attach_imu_does_not_trigger():
     est = Estimator(CFG)
-    trig = est.attach(ImuSample(0.0, 0.0, 0.0, 0.0))
-    assert trig is False
-    trig = est.attach(SteeringSample(0.001, 0.01))
-    assert trig is False
+    est.process_event(ImuSample(0.0, 0.0, 0.0, 0.0))
+    assert len(est.reports) == 0
+    est.process_event(SteeringSample(0.001, 0.01))
+    assert len(est.reports) == 0
 
 
 def test_attach_fully_gated_scan_does_not_trigger():
     est = Estimator(CFG)
-    est.attach(ImuSample(0.0, 0.0, 0.0, 0.0))
+    est.process_event(ImuSample(0.0, 0.0, 0.0, 0.0))
     pts = [RadarPoint(10.0, 0.0, 0.0, 1.0, 2.0)]  # below snr_min
-    trig = est.attach(RadarScan(0, 0.0, 0.001, tuple(pts)))
-    assert trig is False
+    est.process_event(RadarScan(0, 0.0, 0.001, tuple(pts)))
+    assert len(est.reports) == 0
+    assert est.counters["doppler_rejected_low_snr"] == 1
 
 
 def test_attach_ignores_the_reference_channel():
@@ -363,8 +377,9 @@ def test_attach_ignores_the_reference_channel():
     # event, before the window start, twice at one time or ahead of every
     # fused stream, it triggers no solve and changes no state or counter
     est = Estimator(CFG)
-    assert est.attach(ReferenceVelocity(0.0, 10.0, 0.0)) is False
-    assert len(est.window.t) == 0 and not any(est.counters.values())
+    est.process_event(ReferenceVelocity(0.0, 10.0, 0.0))
+    assert not est.reports and len(est.window.t) == 0
+    assert not any(est.counters.values())
     for ev in _mini_events(0.5):
         est.process_event(ev)
     w = est.window
@@ -372,9 +387,7 @@ def test_attach_ignores_the_reference_channel():
     for t in (t0 - 0.3, t0, tn, tn, tn + 1.0):
         t_before, X_before = w.t.copy(), w.X.copy()
         counters, solves = dict(est.counters), len(est.reports)
-        ref = ReferenceVelocity(t, 10.0, 0.0)
-        assert est.attach(ref) is False
-        est.process_event(ref)
+        est.process_event(ReferenceVelocity(t, 10.0, 0.0))
         assert est.window is w and len(est.reports) == solves
         assert np.array_equal(w.t, t_before) and np.array_equal(w.X, X_before)
         assert est.counters == counters

@@ -130,10 +130,11 @@ def test_dealias_rejects_out_of_band_measurement():
     assert len(rows) == 1 and rows[0, 1] == pytest.approx(-20.0)
     # the estimator counts the point and carries on
     est = Estimator(CFG)
-    est.attach(ImuSample(0.0, 0.0, 0.0, 0.0))
+    est.process_event(ImuSample(0.0, 0.0, 0.0, 0.0))
     pts = [RadarPoint(10.0, 0.0, 0.0, 0.0, 25.0),
            RadarPoint(10.0, 0.1, 0.0, 30.0, 25.0)]
-    assert est.attach(_scan(pts, 0.0, 0.001)) is True
+    est.process_event(_scan(pts, 0.0, 0.001))
+    assert len(est.reports) == 1
     assert (est.counters["doppler_accepted"],
             est.counters["doppler_rejected"]) == (1, 1)
 
@@ -150,8 +151,9 @@ def test_rejected_points_are_counted_per_reason():
     assert rejected.tolist() == [REJECT_ALIAS, REJECT_LOW_SNR,
                                  REJECT_INNOVATION]
     est = Estimator(CFG)
-    est.attach(ImuSample(0.0, 0.0, 0.0, 0.0))
-    assert est.attach(_scan(pts, 0.0, 0.001)) is True
+    est.process_event(ImuSample(0.0, 0.0, 0.0, 0.0))
+    est.process_event(_scan(pts, 0.0, 0.001))
+    assert len(est.reports) == 1
     c = est.counters
     assert (c["doppler_accepted"], c["doppler_rejected"]) == (1, 3)
     assert (c["doppler_rejected_alias"], c["doppler_rejected_low_snr"],
@@ -282,12 +284,13 @@ def test_stale_scan_rejected():
     assert np.array_equal(win.t, t0)
     # the estimator counts such a scan in stale_scans
     est = Estimator(CFG)
-    est.attach(ImuSample(0.0, 0.0, 0.0, 0.0))
-    est.attach(ImuSample(1.0, 0.0, 0.0, 0.0))
-    t0 = est.window.t.copy()
+    est.process_event(ImuSample(0.0, 0.0, 0.0, 0.0))
+    est.process_event(ImuSample(1.0, 0.0, 0.0, 0.0))
+    t0, solves = est.window.t.copy(), len(est.reports)
     assert t0[0] > 0.5
     pts = [RadarPoint(10.0, 0.0, 0.0, 0.0, 25.0)]
-    assert est.attach(_scan(pts, 0.5, 1.0)) is False
+    est.process_event(_scan(pts, 0.5, 1.0))
+    assert len(est.reports) == solves
     assert est.counters["stale_scans"] == 1
     assert np.array_equal(est.window.t, t0)
 

@@ -9,17 +9,22 @@ from radgrip.core import (ImuSample, InsufficientDataError, RadarPoint,
                           default_config, event_time)
 from radgrip.mhe import (Estimator, SlidingWindow, WindowProblem,
                          replay_events)
-from radgrip.zupt import (INITIAL_STANDSTILL, accel_magnitude_deviation,
-                          estimate_attitude, update_standstill)
+from radgrip.zupt import (INITIAL_STANDSTILL, estimate_attitude,
+                          update_standstill)
 
 CFG = default_config()
 G = CFG.g
 
 
+def _level(t, accel=0.0):
+    """A level IMU sample whose |‖a‖ - g| is accel, read on the up axis."""
+    return ImuSample(t, 0.0, 0.0, 0.0, az=G + accel)
+
+
 def _feed(status, speed, accel, t0, t1, rate=200.0):
     t = t0
     while t <= t1 + 1e-9:
-        status = update_standstill(status, speed, accel, t, CFG)
+        status = update_standstill(status, speed, _level(t, accel), CFG)
         t += 1.0 / rate
     return status
 
@@ -32,7 +37,7 @@ def test_standstill_after_sustained_quiet():
 def test_speed_violation_resets():
     status = _feed(INITIAL_STANDSTILL, 0.1, 0.05, 0.0, 2.0)
     assert status.stationary
-    status = update_standstill(status, 0.6, 0.05, 2.005, CFG)
+    status = update_standstill(status, 0.6, _level(2.005, 0.05), CFG)
     assert not status.stationary
     assert status.since == 2.005
 
@@ -49,7 +54,7 @@ def test_detector_deterministic():
 
 
 def test_missing_speed_resets():
-    status = update_standstill(INITIAL_STANDSTILL, None, 0.0, 1.0, CFG)
+    status = update_standstill(INITIAL_STANDSTILL, None, _level(1.0), CFG)
     assert not status.stationary and status.since == 1.0
 
 
@@ -204,6 +209,14 @@ def test_zv_residual_velocity_component():
 
 
 def test_accel_magnitude_deviation():
-    assert accel_magnitude_deviation(0.0, 0.0, G, G) == 0.0
-    assert accel_magnitude_deviation(0.0, 0.0, None, G) == 0.0
-    assert accel_magnitude_deviation(3.0, 4.0, G, G) > 1.0
+    # the detector computes |‖a‖ - g| from the sample: a level sample, and
+    # one without az (read as level), keep a rest run going, and a
+    # (3, 4, g) sample, 1.2 m/s^2 off g in magnitude, ends it
+    status = _feed(INITIAL_STANDSTILL, 0.1, 0.0, 0.0, 1.2)
+    assert status.stationary and status.since == 0.0
+    for imu in (_level(1.205), ImuSample(1.21, 0.0, 0.0, 0.0)):
+        status = update_standstill(status, 0.1, imu, CFG)
+        assert status.stationary and status.since == 0.0
+    status = update_standstill(status, 0.1,
+                               ImuSample(1.215, 3.0, 4.0, 0.0, az=G), CFG)
+    assert not status.stationary and status.since == 1.215
